@@ -101,8 +101,41 @@ def radial_to_ring(params: RadialParams) -> RingParams:
                       math.sqrt(params.lambda1 / (2.0 * params.lambda2)))
 
 
+def _cholesky(sigma: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of sigma, which must be symmetric positive
+    definite."""
+    if not np.allclose(sigma, sigma.T, rtol=1e-10, atol=0.0):
+        raise DomainError("sigma must be symmetric")
+    try:
+        return np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        raise DomainError("sigma must be positive definite") from None
+
+
+def _whitened_sq_norms(chol: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Squared norms of chol^-1 x_i over the rows x_i of an (n, dim)
+    batch: the Mahalanobis forms for sigma = chol chol'."""
+    v = solve_triangular(chol, x.T, lower=True, check_finite=False)
+    return np.sum(v * v, axis=0)
+
+
+class _ShapeMatrix:
+    """An SPD shape matrix ``sigma`` held with its Cholesky factor."""
+
+    def _set_sigma(self, sigma: np.ndarray) -> None:
+        chol = _cholesky(sigma)
+        sigma.flags.writeable = False
+        chol.flags.writeable = False
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "_chol", chol)
+
+    @property
+    def log_det_sigma(self) -> float:
+        return 2.0 * float(np.sum(np.log(np.diag(self._chol))))
+
+
 @dataclass(frozen=True, eq=False)
-class EllipticalParams:
+class EllipticalParams(_ShapeMatrix):
     """Full-shape parameters: center mu, SPD shape matrix sigma, and the
     radial law applied to the Mahalanobis form q = (x-mu)' sigma^-1 (x-mu).
     """
@@ -122,26 +155,13 @@ class EllipticalParams:
                 f"sigma must have shape ({d}, {d}), got {sigma.shape}")
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
             raise DomainError("mu and sigma must be finite")
-        if not np.allclose(sigma, sigma.T, rtol=1e-10, atol=0.0):
-            raise DomainError("sigma must be symmetric")
-        try:
-            chol = np.linalg.cholesky(sigma)
-        except np.linalg.LinAlgError:
-            raise DomainError("sigma must be positive definite") from None
+        self._set_sigma(sigma)
         mu.flags.writeable = False
-        sigma.flags.writeable = False
-        chol.flags.writeable = False
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "_chol", chol)
 
     @property
     def dim(self) -> int:
         return self.radial.dim
-
-    @property
-    def log_det_sigma(self) -> float:
-        return 2.0 * float(np.sum(np.log(np.diag(self._chol))))
 
 
 Params = RadialParams | EllipticalParams
@@ -322,7 +342,7 @@ def radial_moment(params: Params, k: int, method: Method = "auto") -> float:
         raise DomainError(f"radial moments implemented for k in {{2,4,6,8}}, "
                           f"got {k}")
     p = params.radial if isinstance(params, EllipticalParams) else params
-    base = log_norm_const(RadialParams(p.dim, p.lambda1, p.lambda2), method)
+    base = log_norm_const(p, method)
     lifted = log_norm_const(RadialParams(p.dim + k, p.lambda1, p.lambda2),
                             method)
     return math.exp(lifted - base
@@ -345,8 +365,10 @@ def entropy(params: Params, method: Method = "auto") -> float:
     return h
 
 
-def _sq_norms(params: Params, x: np.ndarray) -> np.ndarray:
-    """Mahalanobis forms q for one point (dim,) or a batch (n, dim)."""
+def _sq_norms(params: Params | EllipticalGammaReference,
+              x: np.ndarray) -> np.ndarray:
+    """Mahalanobis forms q for one point (dim,) or a batch (n, dim); the
+    elliptical Gamma reference is centred at the origin."""
     x = np.asarray(x, dtype=float)
     d = params.dim
     squeeze = x.ndim == 1
@@ -357,21 +379,30 @@ def _sq_norms(params: Params, x: np.ndarray) -> np.ndarray:
                           f"{np.asarray(x).shape}")
     if not np.all(np.isfinite(x)):
         raise DomainError("points must be finite")
-    if isinstance(params, EllipticalParams):
-        v = solve_triangular(params._chol, (x - params.mu).T, lower=True)
-        q = np.sum(v * v, axis=0)
-    else:
+    if isinstance(params, RadialParams):
         q = np.sum(x * x, axis=1)
+    else:
+        if isinstance(params, EllipticalParams):
+            x = x - params.mu
+        q = _whitened_sq_norms(params._chol, x)
     return q[0] if squeeze else q
 
 
 def log_density(params: Params, x: np.ndarray,
                 method: Method = "auto") -> float | np.ndarray:
-    """log p(x) for a single point (dim,) or a batch (n, dim)."""
-    q = _sq_norms(params, x)
+    """log p(x) for a single point (dim,) or a batch (n, dim).
+
+    Never NaN and silent for finite points: where q or q**2 overflows,
+    the density underflows and the result is -inf.
+    """
     p = params.radial if isinstance(params, EllipticalParams) else params
-    out = p.lambda1 * q - p.lambda2 * q * q - log_norm_const(params, method)
-    return float(out) if np.isscalar(q) or np.ndim(q) == 0 else out
+    log_z = log_norm_const(params, method)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = _sq_norms(params, x)
+        out = p.lambda1 * q - p.lambda2 * q * q - log_z
+    # inf - inf once q overflows; lambda2 > 0, so the quartic term wins
+    out = np.where(np.isnan(out), -np.inf, out)
+    return float(out) if np.ndim(q) == 0 else out
 
 
 def density(params: Params, x: np.ndarray,
@@ -380,7 +411,7 @@ def density(params: Params, x: np.ndarray,
 
 
 @dataclass(frozen=True, eq=False)
-class EllipticalGammaReference:
+class EllipticalGammaReference(_ShapeMatrix):
     """Elliptical Gamma distribution used as the maximum entropy reference.
 
     Radial generator phi(q) = q**(a - D/2) e**(-q/b), which makes the
@@ -402,16 +433,7 @@ class EllipticalGammaReference:
             raise DomainError(f"a must be positive, got {self.a}")
         if not (math.isfinite(self.b) and self.b > 0):
             raise DomainError(f"b must be positive, got {self.b}")
-        if not np.allclose(sigma, sigma.T, rtol=1e-10, atol=0.0):
-            raise DomainError("sigma must be symmetric")
-        try:
-            chol = np.linalg.cholesky(sigma)
-        except np.linalg.LinAlgError:
-            raise DomainError("sigma must be positive definite") from None
-        sigma.flags.writeable = False
-        chol.flags.writeable = False
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "_chol", chol)
+        self._set_sigma(sigma)
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
 
@@ -420,30 +442,14 @@ class EllipticalGammaReference:
         return self.sigma.shape[0]
 
     @property
-    def log_det_sigma(self) -> float:
-        return 2.0 * float(np.sum(np.log(np.diag(self._chol))))
-
-    @property
     def log_norm_const(self) -> float:
         # integral of phi(q(x)) dx = |sigma|^(1/2) (S_{D-1}/2) Gamma(a) b^a
         return (0.5 * self.log_det_sigma
                 + log_sphere_surface_area(self.dim - 1) - _LN_2
                 + math.lgamma(self.a) + self.a * math.log(self.b))
 
-    def _sq_norms(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
-        if x.ndim != 2 or x.shape[1] != self.dim:
-            raise DomainError(f"points must have shape ({self.dim},) or "
-                              f"(n, {self.dim})")
-        v = solve_triangular(self._chol, x.T, lower=True)
-        q = np.sum(v * v, axis=0)
-        return q[0] if squeeze else q
-
     def log_density(self, x: np.ndarray) -> float | np.ndarray:
-        q = self._sq_norms(x)
+        q = _sq_norms(self, x)
         out = ((self.a - 0.5 * self.dim) * np.log(q) - q / self.b
                - self.log_norm_const)
         return float(out) if np.ndim(q) == 0 else out

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import core
 from .errors import ConvergenceError, DomainError, InfeasibleMomentsError
@@ -51,18 +50,6 @@ def gaussian_moment_ratio(dim: int) -> float:
     if dim < 1:
         raise DomainError(f"dim must be >= 1, got {dim}")
     return (dim + 2.0) / dim
-
-
-def _moments_through_8(p: core.RadialParams) -> tuple[float, float, float, float]:
-    base = core.log_norm_const(p, "pcf")
-    ls_base = core.log_sphere_surface_area(p.dim - 1)
-    out = []
-    for k in (2, 4, 6, 8):
-        lifted = core.log_norm_const(
-            core.RadialParams(p.dim + k, p.lambda1, p.lambda2), "pcf")
-        out.append(math.exp(lifted - base + ls_base
-                            - core.log_sphere_surface_area(p.dim + k - 1)))
-    return tuple(out)
 
 
 def fit_moments(dim: int, moments: core.MomentPair, *,
@@ -115,7 +102,8 @@ def fit_moments(dim: int, moments: core.MomentPair, *,
     for iterations in range(1, max_iterations + 1):
         lam2 = math.exp(v[1])
         p = core.RadialParams(dim, v[0], lam2)
-        m2, m4, m6, m8 = _moments_through_8(p)
+        m2, m4, m6, m8 = (core.radial_moment(p, k, "pcf")
+                          for k in (2, 4, 6, 8))
         mismatch = np.array([m2 - c2, m4 - c4])
         residual = (abs(mismatch[0]) / c2, abs(mismatch[1]) / c4)
         trace.append({"iteration": iterations, "lambda1": p.lambda1,
@@ -221,9 +209,7 @@ def fit_data(data: np.ndarray,
         raise DomainError("sample covariance is degenerate; cannot form a "
                           "shape matrix")
     sigma = cov * math.exp(-logdet / dim)
-    chol = np.linalg.cholesky(sigma)
-    v = solve_triangular(chol, centered.T, lower=True)
-    q = np.sum(v * v, axis=0)
+    q = core._whitened_sq_norms(core._cholesky(sigma), centered)
     radial = fit_moments(dim, _sample_moments(q),
                          max_iterations=max_iterations)
     params = core.EllipticalParams(mu, sigma, radial.params)
@@ -252,7 +238,8 @@ def parameter_standard_errors(params: core.RadialParams,
     """
     if n < 2:
         raise DomainError(f"n must be at least 2, got {n}")
-    m2, m4, m6, m8 = _moments_through_8(params)
+    m2, m4, m6, m8 = (core.radial_moment(params, k, "pcf")
+                      for k in (2, 4, 6, 8))
     hess = np.array([[m4 - m2 * m2, m6 - m2 * m4],
                      [m6 - m2 * m4, m8 - m4 * m4]])
     inv = np.linalg.inv(hess)

@@ -1,14 +1,18 @@
-"""Deterministic double-exponential (tanh-sinh) quadrature.
+"""Two deterministic quadrature rules that share no code.
 
-Used both as the fallback normalization path and as the independent
-oracle the closed-form special function route is tested against, so this
-module deliberately depends on nothing else in the package.
+integrate_semi_infinite is adaptive double-exponential (tanh-sinh)
+quadrature over (0, infinity).  It is both the fallback normalization
+path and the independent oracle the closed-form special function route is
+tested against, so this module deliberately depends on nothing else in
+the package.  The trapezoid rule in the transformed variable is refined
+by halving the step; previously evaluated nodes are reused, the result is
+a pure function of the integrand and tolerances, and the error estimate
+is the standard last-level difference.  Integrable endpoint singularities
+up to y**(-1/2) are absorbed by the double-exponential weight decay.
 
-The trapezoid rule in the transformed variable is refined by halving the
-step; previously evaluated nodes are reused, the result is a pure
-function of the integrand and tolerances, and the error estimate is the
-standard last-level difference.  Integrable endpoint singularities up to
-x**(-1/2) are absorbed by the double-exponential weight decay.
+gauss_legendre_panels is a fixed 24-point Gauss-Legendre rule on panels
+the caller places around a smooth, already located peak: the integral
+representation of D_nu and the sampler's radial CDF table use it.
 """
 
 from __future__ import annotations
@@ -24,9 +28,9 @@ from .errors import ConvergenceError, DomainError
 _EPS = 2.220446049250313e-16
 _HALF_PI = 0.5 * math.pi
 _BASE_STEP = 0.5
-_T_MAX_FINITE = 4.3
-_T_MAX_SEMI = 4.8
+_T_MAX = 4.8
 _MAX_LEVEL = 16
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
 @dataclass(frozen=True)
@@ -49,23 +53,17 @@ def _evaluate(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _level_points(level: int, t_max: float) -> np.ndarray:
-    """Positive abscissas new at this level (level 0 includes t=0 separately)."""
-    h = _BASE_STEP / 2 ** level
-    if level == 0:
-        k = np.arange(1, math.floor(t_max / h) + 1)
-    else:
-        k = np.arange(1, math.floor(t_max / h) + 1, 2)
-    return k * h
+def integrate_semi_infinite(f: Callable[[float], float], *,
+                            target_rel_tol: float = 1e-10,
+                            target_abs_tol: float = 0.0,
+                            max_evaluations: int = 10 ** 6) -> QuadResult:
+    """Integral of f over (0, infinity) by tanh-sinh quadrature.
 
-
-def _refine(weighted_terms, rel_tol: float, abs_tol: float,
-            max_evaluations: int):
-    """Shared level-doubling driver.
-
-    ``weighted_terms(level)`` returns the transformed integrand times the
-    h-free weight at the abscissas new to this level (symmetric pairs
-    already folded in), along with the evaluation count it spent.
+    y = exp(pi/2 sinh t) maps the half-line onto t in R; the trapezoid
+    rule in t starts at step 1/2 and halves it per level, evaluating only
+    the new odd multiples.  ``target_abs_tol`` is an optional absolute
+    escape for integrals whose true value may be zero, where a purely
+    relative criterion can never be met.
     """
     running = 0.0
     evals = 0
@@ -74,79 +72,9 @@ def _refine(weighted_terms, rel_tol: float, abs_tol: float,
     diff = math.inf
     for level in range(_MAX_LEVEL + 1):
         h = _BASE_STEP / 2 ** level
-        terms, n = weighted_terms(level)
-        if evals + n > max_evaluations:
-            raise ConvergenceError(
-                "quadrature evaluation budget exhausted",
-                best_estimate=QuadResult(value, diff, evals), work=evals)
-        evals += n
-        running += float(np.sum(terms))
-        value = h * running
-        if level >= 1:
-            diff = abs(value - prev)
-            tol = max(rel_tol * abs(value), abs_tol, 1e-300)
-            if level >= 2 and diff <= tol:
-                return QuadResult(value, max(diff, _EPS * abs(value)), evals)
-        prev = value
-    raise ConvergenceError(
-        "quadrature failed to converge to the requested tolerance",
-        best_estimate=QuadResult(value, diff, evals), work=evals)
-
-
-def integrate_finite(f: Callable[[float], float], a: float, b: float, *,
-                     target_rel_tol: float = 1e-10,
-                     target_abs_tol: float = 0.0,
-                     max_evaluations: int = 10 ** 6) -> QuadResult:
-    """Integral of f over the finite interval [a, b].
-
-    ``target_abs_tol`` is an optional absolute escape for integrals whose
-    true value may be zero, where a purely relative criterion can never be
-    met.
-    """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError("integrate_finite requires finite endpoints")
-    if b < a:
-        raise DomainError(f"empty interval: a={a} > b={b}")
-    if a == b:
-        return QuadResult(0.0, 0.0, 0)
-    half = 0.5 * (b - a)
-
-    def weighted_terms(level):
-        t = _level_points(level, _T_MAX_FINITE)
-        u = _HALF_PI * np.sinh(t)
-        sech2 = 1.0 / np.cosh(u) ** 2
-        offset = half * 2.0 / (1.0 + np.exp(2.0 * u))
-        w = half * _HALF_PI * np.cosh(t) * sech2
-        x_hi = b - offset
-        x_lo = a + offset
-        hi_ok = x_hi < b
-        lo_ok = x_lo > a
-        terms = np.zeros_like(t)
-        n = 0
-        if np.any(hi_ok):
-            terms[hi_ok] += w[hi_ok] * _evaluate(f, x_hi[hi_ok])
-            n += int(np.count_nonzero(hi_ok))
-        if np.any(lo_ok):
-            terms[lo_ok] += w[lo_ok] * _evaluate(f, x_lo[lo_ok])
-            n += int(np.count_nonzero(lo_ok))
-        if level == 0:
-            mid = a + half
-            terms = np.append(terms, half * _HALF_PI * float(f(mid)))
-            n += 1
-        return terms, n
-
-    return _refine(weighted_terms, target_rel_tol, target_abs_tol,
-                   max_evaluations)
-
-
-def integrate_semi_infinite(f: Callable[[float], float], *,
-                            target_rel_tol: float = 1e-10,
-                            target_abs_tol: float = 0.0,
-                            max_evaluations: int = 10 ** 6) -> QuadResult:
-    """Integral of f over (0, infinity)."""
-
-    def weighted_terms(level):
-        t = _level_points(level, _T_MAX_SEMI)
+        # positive abscissas new at this level; t = 0 is added at level 0
+        t = h * np.arange(1, math.floor(_T_MAX / h) + 1,
+                          1 if level == 0 else 2)
         u = _HALF_PI * np.sinh(t)
         coshs = _HALF_PI * np.cosh(t)
         y_hi = np.exp(u)
@@ -157,7 +85,29 @@ def integrate_semi_infinite(f: Callable[[float], float], *,
         if level == 0:
             terms = np.append(terms, _HALF_PI * float(f(1.0)))
             n += 1
-        return terms, n
+        if evals + n > max_evaluations:
+            raise ConvergenceError(
+                "quadrature evaluation budget exhausted",
+                best_estimate=QuadResult(value, diff, evals), work=evals)
+        evals += n
+        running += float(np.sum(terms))
+        value = h * running
+        if level >= 1:
+            diff = abs(value - prev)
+            tol = max(target_rel_tol * abs(value), target_abs_tol, 1e-300)
+            if level >= 2 and diff <= tol:
+                return QuadResult(value, max(diff, _EPS * abs(value)), evals)
+        prev = value
+    raise ConvergenceError(
+        "quadrature failed to converge to the requested tolerance",
+        best_estimate=QuadResult(value, diff, evals), work=evals)
 
-    return _refine(weighted_terms, target_rel_tol, target_abs_tol,
-                   max_evaluations)
+
+def gauss_legendre_panels(log_f: Callable[[np.ndarray], np.ndarray],
+                          edges: np.ndarray, shift: float) -> np.ndarray:
+    """Integral of exp(log_f(x) - shift) over each consecutive pair of
+    edges, by the 24-point Gauss-Legendre rule on every panel."""
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+    return (np.exp(log_f(nodes) - shift) @ _GL_WEIGHTS) * half

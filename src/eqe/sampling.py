@@ -16,15 +16,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from . import core
 from .errors import ConvergenceError, DomainError
+from .quadrature import gauss_legendre_panels
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 _TAIL_MASS = 1e-14
 
 
@@ -86,19 +86,10 @@ def _tail_cutoff(p: core.RadialParams, log_norm: float, shift: float) -> float:
     raise ConvergenceError(f"could not bound the radial tail for {p}")
 
 
-def _panel_integrals(p: core.RadialParams, edges: np.ndarray,
-                     shift: float) -> np.ndarray:
-    """Integral of e^(g - shift) over each consecutive pair of edges."""
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = np.exp(_log_radial_profile(p, nodes) - shift)
-    return (vals @ _GL_WEIGHTS) * half
-
-
 def _interval_integrals(p: core.RadialParams, knots: np.ndarray,
                         shift: float) -> np.ndarray:
-    """Like _panel_integrals, but long intervals are subdivided first.
+    """Integral of e^(g - shift) between consecutive knots, long intervals
+    subdivided first.
 
     Knots are placed uniformly in CDF, so near-zero-density stretches
     collapse into single wide intervals that a 24-point rule cannot
@@ -112,7 +103,8 @@ def _interval_integrals(p: core.RadialParams, knots: np.ndarray,
         edges[offsets[i]:offsets[i + 1]] = np.linspace(
             knots[i], knots[i + 1], n_sub[i] + 1)[:-1]
     edges[-1] = knots[-1]
-    pieces = _panel_integrals(p, edges, shift)
+    pieces = gauss_legendre_panels(partial(_log_radial_profile, p), edges,
+                                   shift)
     return np.add.reduceat(pieces, offsets[:-1])
 
 
@@ -201,7 +193,8 @@ def build_radial_table(params: core.Params,
 
     pilot = np.linspace(0.0, r_max, 4097)
     pilot_cum = np.concatenate(
-        ([0.0], np.cumsum(_panel_integrals(p, pilot, shift))))
+        ([0.0], np.cumsum(gauss_legendre_panels(
+            partial(_log_radial_profile, p), pilot, shift))))
     pilot_cdf = pilot_cum / pilot_cum[-1]
 
     # mostly uniform in CDF, with log-spaced targets at both ends so that

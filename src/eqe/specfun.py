@@ -5,7 +5,10 @@ function D_nu multiplied by exp(lambda1**2 / (8*lambda2)), which overflows
 double precision long before the parameters become physically extreme
 (the prefactor alone reaches e**1000 inside the supported parameter box).
 Everything here therefore works in (log magnitude, sign) form, see
-:class:`ScaledValue`.
+:class:`ScaledValue`, and only the exponentially compensated functions
+are provided: pcf_d_scaled = e**(z**2/4) D_nu(z) and
+bessel_k_quarter_scaled = e**x K_{1/4}(x).  Kummer's M is provided for
+z >= 0, the only half-line the D_nu route needs.
 
 D_nu is evaluated by one of three routes depending on the argument:
 
@@ -13,7 +16,8 @@ D_nu is evaluated by one of three routes depending on the argument:
 * the large-|z| asymptotic series on either side,
 * a nonnegative-integrand integral representation in between, where the
   Kummer combination cancels catastrophically and the asymptotic series
-  has not yet converged.
+  has not yet converged.  It uses the Gauss-Legendre panel rule, which
+  shares no code with the tanh-sinh oracle it is checked against.
 
 The regime boundaries below were tuned once against the adaptive
 quadrature oracle and frozen.  The Kummer and asymptotic routes also
@@ -30,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
+from .quadrature import gauss_legendre_panels
 
 _EPS = 2.220446049250313e-16
 _LN_PI = math.log(math.pi)
@@ -127,18 +132,6 @@ class ScaledValue:
         return self.to_float()
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of the Gamma function for x > 0."""
-    if not x > 0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
-def erf(x: float) -> float:
-    """The error function (2/sqrt(pi)) * integral of exp(-t**2) from 0 to x."""
-    return math.erf(x)
-
-
 def _rgamma_scaled(x: float) -> ScaledValue:
     """1/Gamma(x) on the whole real line; exactly zero at the poles."""
     if x > 0:
@@ -183,60 +176,27 @@ def _kummer_series(a: float, b: float, z: float):
 
 
 def kummer_m(a: float, b: float, z: float) -> ScaledValue:
-    """Confluent hypergeometric M(a, b, z) in scaled form.
+    """Confluent hypergeometric M(a, b, z) in scaled form, for z >= 0.
 
-    For z < 0 the Kummer transformation M(a,b,z) = e**z M(b-a, b, -z) is
-    applied first, which keeps the series terms nonnegative whenever
-    b > a.  When both the transformed and the direct series cancel badly
-    (possible only for arguments far outside this package's own use) a
+    That is the only half-line the parabolic cylinder route needs (its
+    argument is z**2 / 2).  When the series cancels badly a
     ConvergenceError is raised rather than returning silently inaccurate
     digits.
     """
     if b <= 0 and b == math.floor(b):
         raise DomainError(f"kummer_m undefined for nonpositive integer b={b}")
-    if z >= 0:
-        total, scale_log, max_term, _ = _kummer_series(a, b, z)
-        if total == 0.0:
-            return ScaledValue.zero()
-        est = _EPS * max_term / abs(total)
-        if est > _PCF_REL_BUDGET:
-            raise ConvergenceError(
-                f"Kummer M({a},{b},{z}) lost too many digits to cancellation "
-                f"(estimated relative error {est:.2e})")
-        return ScaledValue(scale_log + math.log(abs(total)),
-                           1 if total > 0 else -1)
-    # z < 0: try the transformation, then the direct alternating series.
-    best = None
-    best_est = math.inf
-    try:
-        total, scale_log, max_term, _ = _kummer_series(b - a, b, -z)
-        if total != 0.0:
-            est = _EPS * max_term / abs(total)
-            best = ScaledValue(scale_log + math.log(abs(total)) + z,
-                               1 if total > 0 else -1)
-            best_est = est
-    except ConvergenceError:
-        pass
-    if best_est > _PCF_REL_BUDGET:
-        term = 1.0
-        total = 1.0
-        max_term = 1.0
-        for k in range(_MAX_SERIES_TERMS):
-            term *= (a + k) * z / ((b + k) * (k + 1.0))
-            total += term
-            max_term = max(max_term, abs(term))
-            if abs(term) <= _EPS * abs(total):
-                est = _EPS * max_term / max(abs(total), 5e-324)
-                if est < best_est and total != 0.0:
-                    best = ScaledValue(math.log(abs(total)),
-                                       1 if total > 0 else -1)
-                    best_est = est
-                break
-    if best is None or best_est > _PCF_REL_BUDGET:
+    if not z >= 0:
+        raise DomainError(f"kummer_m implemented for z >= 0 only, got z={z}")
+    total, scale_log, max_term, _ = _kummer_series(a, b, z)
+    if total == 0.0:
+        return ScaledValue.zero()
+    est = _EPS * max_term / abs(total)
+    if est > _PCF_REL_BUDGET:
         raise ConvergenceError(
             f"Kummer M({a},{b},{z}) lost too many digits to cancellation "
-            f"(estimated relative error {best_est:.2e})")
-    return best
+            f"(estimated relative error {est:.2e})")
+    return ScaledValue(scale_log + math.log(abs(total)),
+                       1 if total > 0 else -1)
 
 
 def _pcf_kummer(nu: float, z: float) -> ScaledValue:
@@ -261,18 +221,21 @@ def _pcf_kummer(nu: float, z: float) -> ScaledValue:
     return bracket.times_exp(0.5 * nu * _LN_2 + 0.5 * _LN_PI)
 
 
-def _pcf_asymptotic_tail(nu: float, zsq2: float):
-    """Sum_k (-1)^k (-nu)_{2k} / (k! * zsq2**k), zsq2 = 2 z**2.
+def _pcf_asymptotic_tail(a: float, sign: float, zsq2: float):
+    """Sum_k sign**k (a)_{2k} / (k! * zsq2**k), zsq2 = 2 z**2.
 
-    Returns (sum, relative truncation estimate).  The series is summed to
-    its smallest term; divergence past that point is the usual asymptotic
+    a = -nu, sign = -1 is the z -> +inf expansion of D_nu; a = nu + 1,
+    sign = +1 the second series of the z -> -inf expansion.  Returns
+    (sum, relative truncation estimate).  The series is summed to its
+    smallest term; divergence past that point is the usual asymptotic
     behaviour, not an error.
     """
     term = 1.0
     total = 1.0
     min_rel = math.inf
     for k in range(400):
-        nxt = -term * (-nu + 2 * k) * (-nu + 2 * k + 1.0) / (zsq2 * (k + 1.0))
+        nxt = (sign * term * (a + 2 * k) * (a + 2 * k + 1.0)
+               / (zsq2 * (k + 1.0)))
         if abs(nxt) >= abs(term):
             min_rel = abs(term) / max(abs(total), 5e-324)
             break
@@ -287,7 +250,7 @@ def _pcf_asymptotic_tail(nu: float, zsq2: float):
 
 
 def _pcf_asymptotic_pos(nu: float, z: float) -> ScaledValue:
-    total, rel = _pcf_asymptotic_tail(nu, 2.0 * z * z)
+    total, rel = _pcf_asymptotic_tail(-nu, -1.0, 2.0 * z * z)
     if rel > _PCF_REL_BUDGET or total <= 0.0:
         raise ConvergenceError(
             f"asymptotic series for D_{nu}({z}) stalls at relative error "
@@ -295,31 +258,11 @@ def _pcf_asymptotic_pos(nu: float, z: float) -> ScaledValue:
     return ScaledValue(nu * math.log(z) + math.log(total), 1)
 
 
-def _pcf_second_tail(nu: float, zsq2: float):
-    """Sum_k (nu+1)_{2k} / (k! * zsq2**k) for the z -> -inf expansion."""
-    term = 1.0
-    total = 1.0
-    min_rel = math.inf
-    for k in range(400):
-        nxt = term * (nu + 1.0 + 2 * k) * (nu + 2.0 + 2 * k) / (zsq2 * (k + 1.0))
-        if abs(nxt) >= abs(term):
-            min_rel = abs(term) / max(abs(total), 5e-324)
-            break
-        term = nxt
-        total += term
-        if abs(term) <= _EPS * abs(total):
-            min_rel = _EPS
-            break
-    else:
-        min_rel = abs(term) / max(abs(total), 5e-324)
-    return total, min_rel
-
-
 def _pcf_asymptotic_neg(nu: float, z: float) -> ScaledValue:
     za = -z
     zsq2 = 2.0 * z * z
-    s1, rel1 = _pcf_asymptotic_tail(nu, zsq2)
-    s2, rel2 = _pcf_second_tail(nu, zsq2)
+    s1, rel1 = _pcf_asymptotic_tail(-nu, -1.0, zsq2)
+    s2, rel2 = _pcf_asymptotic_tail(nu + 1.0, 1.0, zsq2)
     t1 = ScaledValue.from_float(math.cos(math.pi * nu) * s1).times_exp(
         nu * math.log(za))
     t2 = ScaledValue.from_float(s2).times(
@@ -335,9 +278,6 @@ def _pcf_asymptotic_neg(nu: float, z: float) -> ScaledValue:
             f"asymptotic series for D_{nu}({z}) stalls at relative error "
             f"{rel:.2e}")
     return result
-
-
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
 def _pcf_integral(nu: float, z: float) -> ScaledValue:
@@ -384,13 +324,7 @@ def _pcf_integral(nu: float, z: float) -> ScaledValue:
         raise ConvergenceError(f"integral for D_{nu}({z}) has an unbounded "
                                "left tail")
     boundaries = np.array(left[::-1] + edges[1:])
-    lo = boundaries[:-1]
-    hi = boundaries[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    nodes = mid[:, None] + half[:, None] * _GAUSS_NODES[None, :]
-    values = np.exp(phi(nodes) - phi_star)
-    total = float(np.sum((values @ _GAUSS_WEIGHTS) * half))
+    total = float(np.sum(gauss_legendre_panels(phi, boundaries, phi_star)))
     return ScaledValue(phi_star + math.log(total) - math.lgamma(-nu), 1)
 
 
@@ -433,14 +367,6 @@ def pcf_d_scaled(nu: float, z: float) -> ScaledValue:
         except ConvergenceError:
             return _pcf_integral_or_recur(nu, z)
     return _pcf_integral_or_recur(nu, z)
-
-
-def pcf_d(nu: float, z: float) -> ScaledValue:
-    """Parabolic cylinder function D_nu(z) for nu <= 0, in scaled form.
-
-    Same accuracy and domain as pcf_d_scaled, which it wraps.
-    """
-    return pcf_d_scaled(nu, z).times_exp(-0.25 * z * z)
 
 
 def _pcf_integral_or_recur(nu: float, z: float) -> ScaledValue:
@@ -514,11 +440,3 @@ def bessel_k_quarter_scaled(x: float) -> ScaledValue:
                 0.5 * math.log(0.5 * math.pi / x) - math.log(s), 1)
     raise ConvergenceError(f"K_{{1/4}} continued fraction stalled at x={x}",
                            work=40000)
-
-
-def bessel_k_quarter(x: float) -> ScaledValue:
-    """Modified Bessel function K_{1/4}(x) for x > 0, in scaled form.
-
-    Same accuracy and domain as bessel_k_quarter_scaled, which it wraps.
-    """
-    return bessel_k_quarter_scaled(x).times_exp(-x)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -365,6 +366,26 @@ def test_elliptical_log_density_whitening_identity():
             core.log_density(rad, z) - 0.5 * logdet, rtol=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e80, 1e160, 1e200])
+@pytest.mark.parametrize("lambda1", [3.0, -3.0])
+def test_log_density_far_out_is_minus_inf(lambda1, scale):
+    # q or q**2 overflows there; the quartic term must win over lambda1 q
+    # (never inf - inf = nan), silently, for single points and batches
+    rad = core.RadialParams(2, lambda1, 1.0)
+    full = core.EllipticalParams([0.5, -1.0], [[2.0, 0.3], [0.3, 1.0]], rad)
+    batch = np.array([[scale, 0.0], [0.3, -0.2], [-scale, scale]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (rad, full):
+            assert core.log_density(p, batch[0]) == -math.inf
+            assert core.density(p, batch[0]) == 0.0
+            out = core.log_density(p, batch)
+            assert out[0] == out[2] == -math.inf
+            assert math.isfinite(out[1])
+            assert out[1] == core.log_density(p, batch[1])
+            np.testing.assert_array_equal(core.density(p, batch)[[0, 2]], 0.0)
+
+
 # ---------------------------------------------------------------------------
 # elliptical Gamma reference distribution
 
@@ -411,3 +432,10 @@ def test_eg_reference_rejects_bad_shape_matrix():
         core.eg_reference(-np.eye(2), 1.0, 1.0)
     with pytest.raises(DomainError):
         core.eg_reference(np.eye(2), -1.0, 1.0)
+
+
+def test_eg_log_density_rejects_nonfinite_points():
+    eg = core.eg_reference(np.eye(2), 3.0, 0.5)
+    for bad in ([math.nan, 0.0], [[0.1, 0.2], [math.inf, 0.0]]):
+        with pytest.raises(DomainError, match="points must be finite"):
+            eg.log_density(np.array(bad))

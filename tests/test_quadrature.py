@@ -4,67 +4,62 @@ import numpy as np
 import pytest
 
 from eqe import quadrature
-from eqe.errors import ConvergenceError, DomainError
+from eqe.errors import ConvergenceError
+
+
+def _damped_oscillation(y):
+    # int_0^inf e^-y sin(5y)^2 dy = 50/101: needs several refinement levels
+    return np.exp(-y) * np.sin(5.0 * y) ** 2
 
 
 def test_polynomial():
-    res = quadrature.integrate_finite(lambda x: x ** 3, 0.0, 2.0)
-    np.testing.assert_allclose(res.value, 4.0, rtol=1e-12)
+    # int_0^inf y^3 e^-y dy = 3!
+    res = quadrature.integrate_semi_infinite(lambda y: y ** 3 * math.exp(-y))
+    np.testing.assert_allclose(res.value, 6.0, rtol=1e-12)
     assert res.evaluations > 0
     assert res.error_estimate < 1e-8
 
 
 def test_sine_hump():
-    res = quadrature.integrate_finite(math.sin, 0.0, math.pi)
-    np.testing.assert_allclose(res.value, 2.0, rtol=1e-12)
-
-
-def test_shifted_interval():
-    res = quadrature.integrate_finite(lambda x: math.exp(-x), -1.0, 3.0)
-    np.testing.assert_allclose(res.value, math.e - math.exp(-3.0),
-                               rtol=1e-12)
+    # int_0^inf e^-y sin(y) dy = 1/2
+    res = quadrature.integrate_semi_infinite(
+        lambda y: math.exp(-y) * math.sin(y))
+    np.testing.assert_allclose(res.value, 0.5, rtol=1e-12)
 
 
 def test_inverse_sqrt_endpoint_singularity():
-    """Integrable singularity at the lower endpoint."""
-    res = quadrature.integrate_finite(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0)
-    np.testing.assert_allclose(res.value, 2.0, rtol=1e-11)
+    """Integrable y**(-1/2) singularity at the lower endpoint, as in the
+    dim = 1 log Z integrand: int_0^inf e^-y / sqrt(y) dy = sqrt(pi)."""
+    res = quadrature.integrate_semi_infinite(
+        lambda y: math.exp(-y) / math.sqrt(y))
+    np.testing.assert_allclose(res.value, math.sqrt(math.pi), rtol=1e-11)
 
 
 def test_log_endpoint_singularity():
-    res = quadrature.integrate_finite(math.log, 0.0, 1.0)
-    np.testing.assert_allclose(res.value, -1.0, rtol=1e-11)
+    # int_0^inf log(y) e^-y dy = -(Euler's constant), the E[ln q] integrand
+    # of the elliptical Gamma entropy
+    res = quadrature.integrate_semi_infinite(
+        lambda y: math.log(y) * math.exp(-y))
+    np.testing.assert_allclose(res.value, -0.57721566490153286, rtol=1e-11)
 
 
 def test_double_square_root_singularity():
-    # both endpoints singular: int_0^1 dx / sqrt(x (1-x)) = pi; forming
-    # 1 - x in the integrand costs digits near x = 1, so the achievable
-    # accuracy is poorer than for the one-sided cases
-    res = quadrature.integrate_finite(
-        lambda x: 1.0 / math.sqrt(x * (1.0 - x)), 0.0, 1.0)
+    # int_0^1 dx / sqrt(x (1-x)) = pi mapped by x = y / (1 + y): singular
+    # at the origin and only algebraically decaying at infinity
+    res = quadrature.integrate_semi_infinite(
+        lambda y: 1.0 / (math.sqrt(y) * (1.0 + y)))
     np.testing.assert_allclose(res.value, math.pi, rtol=1e-7)
 
 
 def test_zero_integral_needs_absolute_escape():
-    res = quadrature.integrate_finite(lambda x: x, -1.0, 1.0,
-                                      target_abs_tol=1e-12)
+    # int_0^inf (1 - y) e^-y dy = 0: a relative criterion alone never holds
+    def f(y):
+        return (1.0 - y) * np.exp(-y)
+
+    with pytest.raises(ConvergenceError):
+        quadrature.integrate_semi_infinite(f, max_evaluations=5000)
+    res = quadrature.integrate_semi_infinite(f, target_abs_tol=1e-12)
     assert abs(res.value) < 1e-12
-
-
-def test_empty_interval():
-    res = quadrature.integrate_finite(lambda x: 1.0, 2.0, 2.0)
-    assert res.value == 0.0
-    assert res.evaluations == 0
-
-
-def test_reversed_interval_rejected():
-    with pytest.raises(DomainError):
-        quadrature.integrate_finite(lambda x: 1.0, 1.0, 0.0)
-
-
-def test_nonfinite_endpoint_rejected():
-    with pytest.raises(DomainError):
-        quadrature.integrate_finite(lambda x: 1.0, 0.0, math.inf)
 
 
 def test_semi_infinite_exponential():
@@ -92,30 +87,33 @@ def test_semi_infinite_heavy_tail():
 
 @pytest.mark.parametrize("rtol", [1e-6, 1e-9, 1e-12])
 def test_tolerance_is_honored(rtol):
-    res = quadrature.integrate_finite(lambda x: math.cos(x), 0.0, 1.0,
-                                      target_rel_tol=rtol)
-    np.testing.assert_allclose(res.value, math.sin(1.0), rtol=10 * rtol)
+    res = quadrature.integrate_semi_infinite(_damped_oscillation,
+                                             target_rel_tol=rtol)
+    np.testing.assert_allclose(res.value, 50.0 / 101.0, rtol=10 * rtol)
 
 
 def test_tighter_tolerance_costs_more_evaluations():
-    loose = quadrature.integrate_finite(math.exp, 0.0, 1.0,
-                                        target_rel_tol=1e-4)
-    tight = quadrature.integrate_finite(math.exp, 0.0, 1.0,
-                                        target_rel_tol=1e-13)
+    loose = quadrature.integrate_semi_infinite(_damped_oscillation,
+                                               target_rel_tol=1e-4)
+    tight = quadrature.integrate_semi_infinite(_damped_oscillation,
+                                               target_rel_tol=1e-13)
     assert tight.evaluations > loose.evaluations
 
 
 def test_budget_exhaustion_reports_best_estimate():
-    f = lambda x: math.sin(50.0 * x) ** 2 / (x + 1e-3)
-    with pytest.raises(ConvergenceError) as exc_info:
-        quadrature.integrate_finite(f, 0.0, 1.0, max_evaluations=40)
-    err = exc_info.value
+    with pytest.raises(ConvergenceError,
+                       match="quadrature evaluation budget exhausted") as info:
+        quadrature.integrate_semi_infinite(_damped_oscillation,
+                                           max_evaluations=40)
+    err = info.value
     assert err.best_estimate is not None
-    assert err.work is not None and err.work <= 80
+    assert math.isfinite(err.best_estimate.value)
+    assert err.work is not None and 0 < err.work <= 40
 
 
 def test_oscillatory_integrand_converges_with_budget():
-    res = quadrature.integrate_finite(lambda x: math.sin(50.0 * x) ** 2,
-                                      0.0, 1.0)
-    expected = 0.5 - math.sin(100.0) / 200.0
-    np.testing.assert_allclose(res.value, expected, rtol=1e-10)
+    # int_0^inf e^-y sin(50y)^2 dy = (1 - 1/10001) / 2
+    res = quadrature.integrate_semi_infinite(
+        lambda y: math.exp(-y) * math.sin(50.0 * y) ** 2)
+    np.testing.assert_allclose(res.value, 0.5 * (1.0 - 1.0 / 10001.0),
+                               rtol=1e-10)
