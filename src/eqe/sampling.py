@@ -6,20 +6,17 @@ r**(D-1) exp(lambda1 r**2 - lambda2 r**4).  A pilot pass places table
 knots uniformly in CDF, per-interval Gauss-Legendre integration gives the
 CDF at the knots to near machine accuracy, and a cubic Hermite
 interpolant with exact density derivatives represents the CDF between
-them.  Inversion seeds a monotone (PCHIP) inverse and polishes with a
-few clamped Newton steps on the forward interpolant, so identical seeds
-produce identical samples with no iteration-count dependence on the
-inputs.
+them.  Inversion takes four clamped Newton steps in each level's knot
+cell from the cell secant and bisects the few levels left unresolved.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from . import core
 from .errors import ConvergenceError, DomainError
@@ -108,6 +105,13 @@ def _interval_integrals(p: core.RadialParams, knots: np.ndarray,
     return np.add.reduceat(pieces, offsets[:-1])
 
 
+def _hermite(coef: tuple, t, slope: bool = False):
+    """Cell cubics ``coef`` at t in [0, 1], with t-derivatives if ``slope``."""
+    c0, c1, c2, c3 = coef
+    value = c0 + t * (c1 + t * (c2 + t * c3))
+    return (value, c1 + t * (2.0 * c2 + 3.0 * t * c3)) if slope else value
+
+
 @dataclass(frozen=True, eq=False)
 class RadialCdfTable:
     """Shareable, immutable inverse-CDF table for the radial density."""
@@ -118,60 +122,56 @@ class RadialCdfTable:
     pdf_values: np.ndarray
     r_max: float
     log_norm: float
-    _forward: CubicHermiteSpline = field(init=False, repr=False)
-    _inverse_seed: PchipInterpolator = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "_forward",
-            CubicHermiteSpline(self.knots, self.cdf_values, self.pdf_values))
-        keep = np.concatenate(([True], np.diff(self.cdf_values) > 0))
-        object.__setattr__(
-            self, "_inverse_seed",
-            PchipInterpolator(self.cdf_values[keep], self.knots[keep]))
         for arr in (self.knots, self.cdf_values, self.pdf_values):
             arr.flags.writeable = False
 
+    def _cells(self, idx: np.ndarray) -> tuple:
+        """Power-basis coefficients in t of the Hermite CDF on cells idx."""
+        h = self.knots[idx + 1] - self.knots[idx]
+        y0, mass = self.cdf_values[idx], np.diff(self.cdf_values)[idx]
+        a, b = h * self.pdf_values[idx], h * self.pdf_values[idx + 1]
+        return y0, a, 3.0 * mass - 2.0 * a - b, a + b - 2.0 * mass
+
     def cdf(self, r) -> np.ndarray | float:
         r = np.clip(np.asarray(r, dtype=float), 0.0, self.r_max)
-        out = np.clip(self._forward(r), 0.0, 1.0)
+        idx = np.clip(np.searchsorted(self.knots, r, side="right") - 1,
+                      0, self.knots.size - 2)
+        t = (r - self.knots[idx]) / (self.knots[idx + 1] - self.knots[idx])
+        out = np.clip(_hermite(self._cells(idx), t), 0.0, 1.0)
         return float(out) if out.ndim == 0 else out
 
     def inverse_cdf(self, u) -> np.ndarray | float:
         u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-        if np.any((u_arr < 0.0) | (u_arr > 1.0)) or not np.all(
-                np.isfinite(u_arr)):
+        if not np.all((u_arr >= 0.0) & (u_arr <= 1.0)):  # NaN fails too
             raise DomainError("quantile levels must lie in [0, 1]")
         idx = np.clip(
             np.searchsorted(self.cdf_values, u_arr, side="right") - 1,
             0, self.knots.size - 2)
-        r_lo = self.knots[idx]
-        r_hi = self.knots[idx + 1]
-        # Newton on the forward interpolant, clamped into the bracketing
-        # knot interval; the secant slope floors the divisor so that flat
-        # (zero-mass) intervals cannot launch the iterate out of bracket.
-        secant = ((self.cdf_values[idx + 1] - self.cdf_values[idx])
-                  / (r_hi - r_lo))
-        floor = np.maximum(1e-3 * secant, 1e-300)
-        r = np.clip(self._inverse_seed(np.clip(u_arr, self.cdf_values[0],
-                                               self.cdf_values[-1])),
-                    r_lo, r_hi)
-        deriv = self._forward.derivative()
+        coef = self._cells(idx)
+        mass = np.diff(self.cdf_values)[idx]
+        # clamped Newton in the cell from its secant (t = 1 in a flat last
+        # cell, u = 1); the secant floors the slope in near-flat cells
+        t = np.clip(np.divide(u_arr - coef[0], mass, out=np.ones_like(u_arr),
+                              where=mass > 0.0), 0.0, 1.0)
+        floor = np.maximum(1e-3 * mass, 1e-300)
         for _ in range(4):
-            slope = np.maximum(deriv(r), floor)
-            r = np.clip(r - (self._forward(r) - u_arr) / slope, r_lo, r_hi)
+            value, slope = _hermite(coef, t, slope=True)
+            t = np.clip(t - (value - u_arr) / np.maximum(slope, floor),
+                        0.0, 1.0)
         # bisect the stragglers (cells whose slope floor throttled Newton)
-        bad = (np.abs(self._forward(r) - u_arr)
-               > 1e-12 + 1e-9 * secant * (r_hi - r_lo))
+        bad = np.abs(_hermite(coef, t) - u_arr) > 1e-12 + 1e-9 * mass
         if np.any(bad):
-            lo, hi = r_lo[bad].copy(), r_hi[bad].copy()
-            ub = u_arr[bad]
+            coef_bad, ub = tuple(c[bad] for c in coef), u_arr[bad]
+            lo, hi = np.zeros_like(ub), np.ones_like(ub)
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                high_side = self._forward(mid) > ub
-                hi = np.where(high_side, mid, hi)
-                lo = np.where(high_side, lo, mid)
-            r[bad] = 0.5 * (lo + hi)
+                high = _hermite(coef_bad, mid) > ub
+                lo, hi = np.where(high, lo, mid), np.where(high, mid, hi)
+            t[bad] = 0.5 * (lo + hi)
+        # exact knots at t = 0 and t = 1, unlike knots[idx] + t h
+        r = (1.0 - t) * self.knots[idx] + t * self.knots[idx + 1]
         return float(r[0]) if np.ndim(u) == 0 else r
 
 

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import eqe
 from eqe import cli, core
 
 
@@ -313,3 +318,16 @@ def test_selfcheck_failure_exits_5(runner):
     assert res.exit_code == 5
     doc = json.loads(res.stdout)
     assert doc["passed"] is False
+
+
+def test_start_up_imports_no_scipy():
+    # the CLI start-up path needs numpy and click only; a fresh interpreter
+    # shows what it loads (this process has scipy from the test suite)
+    src = str(pathlib.Path(eqe.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, eqe, eqe.cli; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert done.stdout.strip() == "[]"

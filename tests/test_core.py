@@ -434,6 +434,24 @@ def test_eg_reference_rejects_bad_shape_matrix():
         core.eg_reference(np.eye(2), -1.0, 1.0)
 
 
+@pytest.mark.parametrize("a,at_origin", [(3.0, -math.inf), (1.0, None),
+                                          (0.5, math.inf)])
+def test_eg_log_density_far_out_and_at_origin(a, at_origin):
+    # log_density's contract: -inf where q overflows, never NaN, silently;
+    # at the origin q**(a - D/2) vanishes, is 1 (a = D/2) or is unbounded
+    eg = core.eg_reference(np.array([[2.0, 0.3], [0.3, 1.0]]), a, 0.5)
+    batch = np.array([[0.0, 0.0], [1e155, 0.0], [0.3, -0.2], [-1e200, 1e200]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = eg.log_density(batch)
+        for i, x in enumerate(batch):
+            assert eg.log_density(x) == out[i]
+    origin = -eg.log_norm_const if at_origin is None else at_origin
+    assert out[0] == pytest.approx(origin, rel=1e-15)
+    assert out[1] == out[3] == -math.inf
+    assert math.isfinite(out[2])
+
+
 def test_eg_log_density_rejects_nonfinite_points():
     eg = core.eg_reference(np.eye(2), 3.0, 0.5)
     for bad in ([math.nan, 0.0], [[0.1, 0.2], [math.inf, 0.0]]):

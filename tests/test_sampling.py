@@ -66,13 +66,24 @@ def test_table_cdf_properties(dim, l1, l2):
     assert np.all(table.pdf_values >= 0.0)
 
 
-@pytest.mark.parametrize("dim,l1,l2", SHAPES)
+THIN_RINGS = [core.ring_to_radial(core.RingParams(2, 1e4, 1.0)),
+              core.ring_to_radial(core.RingParams(3, 1e8, 1.0))]
+
+
+@pytest.mark.parametrize("dim,l1,l2", SHAPES + [
+    (p.dim, p.lambda1, p.lambda2) for p in THIN_RINGS])
 def test_table_inverse_round_trip(dim, l1, l2):
     table = sampling.build_radial_table(core.RadialParams(dim, l1, l2))
-    u = np.linspace(1e-9, 1.0 - 1e-9, 2001)
+    # tail levels fall in the log-spaced edge cells, where Newton can stall
+    # and bisection takes over
+    tail = np.array([1e-13, 1e-11, 1e-9, 1e-7, 1e-5, 1e-4])
+    u = np.unique(np.concatenate(
+        [np.linspace(1e-9, 1.0 - 1e-9, 2001), tail, 1.0 - tail]))
     r = table.inverse_cdf(u)
     assert np.all(np.diff(r) > 0.0)
     np.testing.assert_allclose(table.cdf(r), u, rtol=0, atol=1e-8)
+    assert table.inverse_cdf(0.0) == 0.0
+    assert table.inverse_cdf(1.0) == table.r_max
 
 
 def test_table_covers_the_mode():
