@@ -214,10 +214,7 @@ def cmd_fit(input_path, model, out_path):
     except ValueError as e:
         raise click.UsageError(f"malformed CSV {input_path}: {e}") from e
     report = fit.fit_data(data, model)
-    radial = (report.params.radial
-              if isinstance(report.params, core.EllipticalParams)
-              else report.params)
-    se = fit.parameter_standard_errors(radial, data.shape[0])
+    se = fit.parameter_standard_errors(report.params.radial, data.shape[0])
     doc = params_to_doc(report.params)
     doc["fit_report"] = {
         "converged": report.converged,

@@ -54,6 +54,13 @@ class RadialParams:
         object.__setattr__(self, "lambda1", float(self.lambda1))
         object.__setattr__(self, "lambda2", float(self.lambda2))
 
+    # the interface EllipticalParams shares: identity shape matrix
+    log_det_sigma = 0.0
+
+    @property
+    def radial(self) -> RadialParams:
+        return self
+
     @property
     def is_annular(self) -> bool:
         return self.lambda1 > 0
@@ -201,7 +208,7 @@ def sphere_surface_area(n: int) -> float:
 
 def mode_radius(params: Params) -> float:
     """Radius of the density's maximum; 0 when the origin is the mode."""
-    p = params.radial if isinstance(params, EllipticalParams) else params
+    p = params.radial
     if p.lambda1 <= 0:
         return 0.0
     return math.sqrt(p.lambda1 / (2.0 * p.lambda2))
@@ -233,44 +240,48 @@ def _log_z_pcf(dim: int, l1: float, l2: float) -> float:
 
 @lru_cache(maxsize=512)
 def _log_z_quadrature(dim: int, l1: float, l2: float) -> float:
-    # peak of the exponent l1 y - l2 y^2 over y >= 0
-    shift = l1 * l1 / (4.0 * l2) if l1 > 0 else 0.0
     power = 0.5 * dim - 1.0
+    if dim >= 3:
+        # peak of the whole exponent power ln y + l1 y - l2 y^2, at the
+        # positive root of 2 l2 y^2 - l1 y - power in cancellation-free form
+        disc = math.sqrt(l1 * l1 + 8.0 * l2 * power)
+        peak = ((l1 + disc) / (4.0 * l2) if l1 > 0
+                else 2.0 * power / (disc - l1))
+        shift = power * math.log(peak) + l1 * peak - l2 * peak * peak
+        # y = peak * s puts a peak narrower than half its distance from 0
+        # (Laplace width peak / sqrt(power + 2 l2 peak^2)) on the rule's
+        # centre node s = 1, where even the coarsest level sees it
+        scale = peak if power + 2.0 * l2 * peak * peak > 4.0 else 1.0
+    else:
+        # peak of l1 y - l2 y^2 over y >= 0 (y^(-1/2) at D = 1 has none)
+        shift = l1 * l1 / (4.0 * l2) if l1 > 0 else 0.0
+        scale = 1.0
 
-    def integrand(y):
+    def integrand(s):
+        y = scale * s
         return np.exp(power * np.log(y) + l1 * y - l2 * y * y - shift)
 
-    def integrand_d2(y):
-        return np.exp(l1 * y - l2 * y * y - shift)
-
-    f = integrand_d2 if dim == 2 else integrand
-    res = quadrature.integrate_semi_infinite(f, target_rel_tol=1e-11)
+    res = quadrature.integrate_semi_infinite(integrand, target_rel_tol=1e-11)
     return (log_sphere_surface_area(dim - 1) - _LN_2 + shift
-            + math.log(res.value))
+            + math.log(scale) + math.log(res.value))
 
 
 def log_norm_const_info(params: Params, method: Method = "auto") -> LogNormInfo:
     """log Z with provenance: which route produced it and whether the
     closed form fell back to quadrature."""
-    p = params.radial if isinstance(params, EllipticalParams) else params
-    extra = (0.5 * params.log_det_sigma
-             if isinstance(params, EllipticalParams) else 0.0)
-    if method == "pcf":
-        return LogNormInfo(_log_z_pcf(p.dim, p.lambda1, p.lambda2) + extra,
-                           "pcf", False)
-    if method == "quadrature":
-        return LogNormInfo(
-            _log_z_quadrature(p.dim, p.lambda1, p.lambda2) + extra,
-            "quadrature", False)
-    if method != "auto":
+    if method not in ("pcf", "quadrature", "auto"):
         raise DomainError(f"unknown method {method!r}")
-    try:
-        return LogNormInfo(_log_z_pcf(p.dim, p.lambda1, p.lambda2) + extra,
-                           "pcf", False)
-    except ConvergenceError:
-        return LogNormInfo(
-            _log_z_quadrature(p.dim, p.lambda1, p.lambda2) + extra,
-            "quadrature", True)
+    p = params.radial
+    extra = 0.5 * params.log_det_sigma
+    if method != "quadrature":
+        try:
+            return LogNormInfo(
+                _log_z_pcf(p.dim, p.lambda1, p.lambda2) + extra, "pcf", False)
+        except ConvergenceError:
+            if method == "pcf":
+                raise
+    return LogNormInfo(_log_z_quadrature(p.dim, p.lambda1, p.lambda2) + extra,
+                       "quadrature", method == "auto")
 
 
 def log_norm_const(params: Params, method: Method = "auto") -> float:
@@ -341,7 +352,7 @@ def radial_moment(params: Params, k: int, method: Method = "auto") -> float:
     if k not in (2, 4, 6, 8):
         raise DomainError(f"radial moments implemented for k in {{2,4,6,8}}, "
                           f"got {k}")
-    p = params.radial if isinstance(params, EllipticalParams) else params
+    p = params.radial
     base = log_norm_const(p, method)
     lifted = log_norm_const(RadialParams(p.dim + k, p.lambda1, p.lambda2),
                             method)
@@ -350,19 +361,15 @@ def radial_moment(params: Params, k: int, method: Method = "auto") -> float:
                     - log_sphere_surface_area(p.dim + k - 1))
 
 
-def entropy(params: Params, method: Method = "auto") -> float:
+def entropy(params: Params) -> float:
     """Differential entropy in nats.
 
     H = lambda2 E[r**4] - lambda1 E[r**2] + log Z, plus
     (1/2) log det sigma in the elliptical case.
     """
-    p = params.radial if isinstance(params, EllipticalParams) else params
-    h = (p.lambda2 * radial_moment(p, 4, method)
-         - p.lambda1 * radial_moment(p, 2, method)
-         + log_norm_const(p, method))
-    if isinstance(params, EllipticalParams):
-        h += 0.5 * params.log_det_sigma
-    return h
+    p = params.radial
+    return (p.lambda2 * radial_moment(p, 4) - p.lambda1 * radial_moment(p, 2)
+            + log_norm_const(p) + 0.5 * params.log_det_sigma)
 
 
 def _sq_norms(params: Params | EllipticalGammaReference,
@@ -388,15 +395,14 @@ def _sq_norms(params: Params | EllipticalGammaReference,
     return q[0] if squeeze else q
 
 
-def log_density(params: Params, x: np.ndarray,
-                method: Method = "auto") -> float | np.ndarray:
+def log_density(params: Params, x: np.ndarray) -> float | np.ndarray:
     """log p(x) for a single point (dim,) or a batch (n, dim).
 
     Never NaN and silent for finite points: where q or q**2 overflows,
     the density underflows and the result is -inf.
     """
-    p = params.radial if isinstance(params, EllipticalParams) else params
-    log_z = log_norm_const(params, method)
+    p = params.radial
+    log_z = log_norm_const(params)
     with np.errstate(over="ignore", invalid="ignore"):
         q = _sq_norms(params, x)
         out = p.lambda1 * q - p.lambda2 * q * q - log_z
@@ -405,9 +411,8 @@ def log_density(params: Params, x: np.ndarray,
     return float(out) if np.ndim(q) == 0 else out
 
 
-def density(params: Params, x: np.ndarray,
-            method: Method = "auto") -> float | np.ndarray:
-    return np.exp(log_density(params, x, method))
+def density(params: Params, x: np.ndarray) -> float | np.ndarray:
+    return np.exp(log_density(params, x))
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,7 @@ lambda2 > 0 solution and raise InfeasibleMomentsError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
@@ -37,7 +37,7 @@ Feasibility = Literal["interior", "near_boundary"]
 
 @dataclass(frozen=True)
 class FitReport:
-    params: core.RadialParams | core.EllipticalParams
+    params: core.Params
     iterations: int
     residual: tuple[float, float]
     converged: bool
@@ -174,8 +174,8 @@ def fit_moments(dim: int, moments: core.MomentPair, *,
 
 
 def fit_data(data: np.ndarray,
-             model: Literal["spherical", "elliptical"] = "elliptical", *,
-             max_iterations: int = 200) -> FitReport:
+             model: Literal["spherical", "elliptical"] = "elliptical"
+             ) -> FitReport:
     """Fit parameters to data rows by moment matching.
 
     ``spherical`` uses raw squared norms.  ``elliptical`` first estimates
@@ -197,9 +197,7 @@ def fit_data(data: np.ndarray,
 
     if model == "spherical":
         q = np.einsum("ij,ij->i", x, x)
-        report = fit_moments(dim, _sample_moments(q),
-                             max_iterations=max_iterations)
-        return report
+        return fit_moments(dim, _sample_moments(q))
 
     mu = x.mean(axis=0)
     centered = x - mu
@@ -210,12 +208,9 @@ def fit_data(data: np.ndarray,
                           "shape matrix")
     sigma = cov * math.exp(-logdet / dim)
     q = core._whitened_sq_norms(core._cholesky(sigma), centered)
-    radial = fit_moments(dim, _sample_moments(q),
-                         max_iterations=max_iterations)
-    params = core.EllipticalParams(mu, sigma, radial.params)
-    return FitReport(params=params, iterations=radial.iterations,
-                     residual=radial.residual, converged=radial.converged,
-                     feasibility=radial.feasibility, trace=radial.trace)
+    radial = fit_moments(dim, _sample_moments(q))
+    return replace(radial,
+                   params=core.EllipticalParams(mu, sigma, radial.params))
 
 
 def _sample_moments(q: np.ndarray) -> core.MomentPair:

@@ -104,10 +104,11 @@ def integrate_semi_infinite(f: Callable[[float], float], *,
 
 
 def gauss_legendre_panels(log_f: Callable[[np.ndarray], np.ndarray],
-                          edges: np.ndarray, shift: float) -> np.ndarray:
-    """Integral of exp(log_f(x) - shift) over each consecutive pair of
-    edges, by the 24-point Gauss-Legendre rule on every panel."""
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
+                          lo: np.ndarray, hi: np.ndarray,
+                          shift: float) -> np.ndarray:
+    """Integral of exp(log_f(x) - shift) over each panel [lo_i, hi_i], by
+    the 24-point Gauss-Legendre rule."""
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
     nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
     return (np.exp(log_f(nodes) - shift) @ _GL_WEIGHTS) * half

@@ -2,11 +2,14 @@
 
 Directions on the sphere are trivial (normalized Gaussians); all the work
 is in the radius r, whose density is proportional to
-r**(D-1) exp(lambda1 r**2 - lambda2 r**4).  A pilot pass places table
-knots uniformly in CDF, per-interval Gauss-Legendre integration gives the
-CDF at the knots to near machine accuracy, and a cubic Hermite
+r**(D-1) exp(lambda1 r**2 - lambda2 r**4).  The table is built in one
+Gauss-Legendre pass over a pilot grid: a uniform grid on [0, r_max] joined
+with a finer one over +-40 Laplace widths of the density's peak, so thin
+rings are resolved.  Knots go uniformly in the pilot CDF (log-spaced in
+both tails), and each knot's CDF is the pilot mass up to its pilot cell
+plus one panel to the knot, near machine accuracy.  A cubic Hermite
 interpolant with exact density derivatives represents the CDF between
-them.  Inversion takes four clamped Newton steps in each level's knot
+knots.  Inversion takes four clamped Newton steps in each level's knot
 cell from the cell secant and bisects the few levels left unresolved.
 """
 
@@ -23,6 +26,8 @@ from .errors import ConvergenceError, DomainError
 from .quadrature import gauss_legendre_panels
 
 _TAIL_MASS = 1e-14
+_PILOT_PANELS = 4096
+_N_KNOTS = 2048
 
 
 class SeededGenerator:
@@ -58,21 +63,27 @@ def _log_radial_profile(p: core.RadialParams, r: np.ndarray) -> np.ndarray:
         return (p.dim - 1) * np.log(r) + quad_part
 
 
-def _profile_peak(p: core.RadialParams) -> float:
-    """Radius maximizing the radial density (0 allowed only for D = 1)."""
-    disc = p.lambda1 * p.lambda1 + 4.0 * p.lambda2 * (p.dim - 1)
-    r_sq = (p.lambda1 + math.sqrt(disc)) / (4.0 * p.lambda2)
-    return math.sqrt(max(r_sq, 0.0))
+def _profile_peak(p: core.RadialParams) -> tuple[float, float]:
+    """Radius maximizing the radial density (0 only for D = 1) and the
+    curvature -g'' of the log profile g there."""
+    l1, l2, d = p.lambda1, p.lambda2, p.dim
+    if d == 1 and l1 <= 0:
+        return 0.0, -2.0 * l1
+    disc = math.sqrt(l1 * l1 + 4.0 * l2 * (d - 1))
+    # the root of 4 l2 r^4 - 2 l1 r^2 - (D-1) in its cancellation-free form
+    r_sq = (l1 + disc) / (4.0 * l2) if l1 > 0 else (d - 1) / (disc - l1)
+    return math.sqrt(r_sq), 4.0 * disc
 
 
-def _tail_cutoff(p: core.RadialParams, log_norm: float, shift: float) -> float:
+def _tail_cutoff(p: core.RadialParams, log_norm: float,
+                r_peak: float) -> float:
     """Radius beyond which the remaining mass is below _TAIL_MASS.
 
     Uses the bound integral_r^inf e^g <= e^g(r) / |g'(r)|, valid once g
     is decreasing and concave, which holds past the peak.
     """
     target = log_norm + math.log(_TAIL_MASS) - 2.0
-    r = _profile_peak(p) + max(1.0, 0.5 / p.lambda2 ** 0.25)
+    r = r_peak + max(1.0, 0.5 / p.lambda2 ** 0.25)
     for _ in range(300):
         g = float(_log_radial_profile(p, r))
         slope = abs((p.dim - 1) / r + 2.0 * p.lambda1 * r
@@ -81,28 +92,6 @@ def _tail_cutoff(p: core.RadialParams, log_norm: float, shift: float) -> float:
             return r
         r *= 1.15
     raise ConvergenceError(f"could not bound the radial tail for {p}")
-
-
-def _interval_integrals(p: core.RadialParams, knots: np.ndarray,
-                        shift: float) -> np.ndarray:
-    """Integral of e^(g - shift) between consecutive knots, long intervals
-    subdivided first.
-
-    Knots are placed uniformly in CDF, so near-zero-density stretches
-    collapse into single wide intervals that a 24-point rule cannot
-    resolve on its own.
-    """
-    h_cap = (knots[-1] - knots[0]) / 4096.0
-    n_sub = np.maximum(1, np.ceil(np.diff(knots) / h_cap)).astype(int)
-    edges = np.empty(int(np.sum(n_sub)) + 1)
-    offsets = np.concatenate(([0], np.cumsum(n_sub)))
-    for i in range(knots.size - 1):
-        edges[offsets[i]:offsets[i + 1]] = np.linspace(
-            knots[i], knots[i + 1], n_sub[i] + 1)[:-1]
-    edges[-1] = knots[-1]
-    pieces = gauss_legendre_panels(partial(_log_radial_profile, p), edges,
-                                   shift)
-    return np.add.reduceat(pieces, offsets[:-1])
 
 
 def _hermite(coef: tuple, t, slope: bool = False):
@@ -175,46 +164,54 @@ class RadialCdfTable:
         return float(r[0]) if np.ndim(u) == 0 else r
 
 
-def build_radial_table(params: core.Params,
-                       n_knots: int = 2048) -> RadialCdfTable:
+def build_radial_table(params: core.Params) -> RadialCdfTable:
     """Build the radial inverse-CDF table.
 
     The tail beyond the last knot carries less than 1e-14 of the mass;
     the table treats the CDF there as exactly 1.
     """
-    p = params.radial if isinstance(params, core.EllipticalParams) else params
-    if n_knots < 8:
-        raise DomainError(f"n_knots must be at least 8, got {n_knots}")
+    p = params.radial
     log_norm = (core.log_norm_const(p)
                 - core.log_sphere_surface_area(p.dim - 1))
-    r_peak = _profile_peak(p)
+    r_peak, curvature = _profile_peak(p)
     shift = float(_log_radial_profile(p, r_peak)) if r_peak > 0 else 0.0
-    r_max = _tail_cutoff(p, log_norm, shift)
+    r_max = _tail_cutoff(p, log_norm, r_peak)
 
-    pilot = np.linspace(0.0, r_max, 4097)
-    pilot_cum = np.concatenate(
-        ([0.0], np.cumsum(gauss_legendre_panels(
-            partial(_log_radial_profile, p), pilot, shift))))
-    pilot_cdf = pilot_cum / pilot_cum[-1]
-
-    # mostly uniform in CDF, with log-spaced targets at both ends so that
-    # steep density edges (sharp rings) keep knots through the "dead" zone
-    edge = np.array([1e-13, 1e-11, 1e-9, 1e-7, 1e-5, 1e-4])
-    targets = np.unique(np.concatenate(
-        [edge, np.linspace(0.0, 1.0, n_knots - 2 * edge.size),
-         1.0 - edge[::-1]]))
-    knots = np.interp(targets, pilot_cdf, pilot)
-    knots[0], knots[-1] = 0.0, r_max
-    knots = np.unique(knots)
-
-    cum = np.concatenate(
-        ([0.0], np.cumsum(_interval_integrals(p, knots, shift))))
-    total = cum[-1]
+    # a uniform grid, refined over +-40 Laplace widths of the peak so that
+    # thin rings are resolved too
+    half = 40.0 / math.sqrt(curvature) if curvature > 0 else r_max
+    pilot = np.union1d(np.linspace(0.0, r_max, _PILOT_PANELS + 1),
+                       np.linspace(max(r_peak - half, 0.0),
+                                   min(r_peak + half, r_max),
+                                   _PILOT_PANELS + 1))
+    log_f = partial(_log_radial_profile, p)
+    pilot_cum = np.concatenate(([0.0], np.cumsum(
+        gauss_legendre_panels(log_f, pilot[:-1], pilot[1:], shift))))
+    total = pilot_cum[-1]
+    # both log masses carry rounding of a few ulps of their size
     resid = abs(shift + math.log(total) - log_norm)
-    if resid > 1e-8:
+    if resid > max(1e-8, 8.0 * math.ulp(max(abs(shift), abs(log_norm)))):
         raise ConvergenceError(
             f"radial CDF normalization disagrees with log_norm_const by "
             f"{resid:.2e} for {p}")
+
+    # mostly uniform in CDF, with log-spaced targets at both ends so that
+    # steep density edges (sharp rings) keep knots through the "dead" zone;
+    # a decade apart, the density changes little enough across an edge
+    # cell for the cubic there to stay monotone
+    edge = np.logspace(-13.0, -4.0, 10)
+    targets = np.unique(np.concatenate(
+        [edge, np.linspace(0.0, 1.0, _N_KNOTS - 2 * edge.size),
+         1.0 - edge[::-1]]))
+    knots = np.interp(targets, pilot_cum / total, pilot)
+    knots[0], knots[-1] = 0.0, r_max
+    knots = np.unique(knots)
+
+    # the pilot's mass up to each knot's cell plus one panel to the knot
+    cell = np.minimum(np.searchsorted(pilot, knots, side="right") - 1,
+                      pilot.size - 2)
+    cum = pilot_cum[cell] + gauss_legendre_panels(log_f, pilot[cell], knots,
+                                                  shift)
     cdf = np.minimum(cum / total, 1.0)
     cdf[-1] = 1.0
     pdf = np.exp(_log_radial_profile(p, knots) - shift) / total
@@ -225,8 +222,8 @@ def build_radial_table(params: core.Params,
 
 
 @lru_cache(maxsize=64)
-def _cached_table(p: core.RadialParams, n_knots: int) -> RadialCdfTable:
-    return build_radial_table(p, n_knots)
+def _cached_table(p: core.RadialParams) -> RadialCdfTable:
+    return build_radial_table(p)
 
 
 def sample(params: core.Params, n: int, gen) -> np.ndarray:
@@ -239,8 +236,8 @@ def sample(params: core.Params, n: int, gen) -> np.ndarray:
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
     rng = _as_rng(gen)
-    p = params.radial if isinstance(params, core.EllipticalParams) else params
-    table = _cached_table(p, 2048)
+    p = params.radial
+    table = _cached_table(p)
     r = np.atleast_1d(table.inverse_cdf(rng.random(n)))
     v = rng.standard_normal((n, p.dim))
     norms = np.linalg.norm(v, axis=1)

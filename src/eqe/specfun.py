@@ -300,11 +300,13 @@ def _pcf_integral(nu: float, z: float) -> ScaledValue:
 
     phi_star = float(phi(u_star))
     drop = 46.0
+    # at most four Laplace widths 1/sqrt(-phi''(u*)) per panel
+    panel = min(0.8, 4.0 / math.sqrt(t_star * t_star - nu))
     edges = [u_star]
     # right side: double-exponential decay, fixed-width panels
     u = u_star
     for _ in range(400):
-        u += 0.8
+        u += panel
         edges.append(u)
         if float(phi(u)) < phi_star - drop:
             break
@@ -313,7 +315,7 @@ def _pcf_integral(nu: float, z: float) -> ScaledValue:
                                "right tail")
     left = [u_star]
     u = u_star
-    width = 0.8
+    width = panel
     for _ in range(400):
         u -= width
         left.append(u)
@@ -324,7 +326,8 @@ def _pcf_integral(nu: float, z: float) -> ScaledValue:
         raise ConvergenceError(f"integral for D_{nu}({z}) has an unbounded "
                                "left tail")
     boundaries = np.array(left[::-1] + edges[1:])
-    total = float(np.sum(gauss_legendre_panels(phi, boundaries, phi_star)))
+    total = float(np.sum(gauss_legendre_panels(phi, boundaries[:-1],
+                                               boundaries[1:], phi_star)))
     return ScaledValue(phi_star + math.log(total) - math.lgamma(-nu), 1)
 
 
@@ -347,26 +350,18 @@ def pcf_d_scaled(nu: float, z: float) -> ScaledValue:
     if nu == 0:
         return ScaledValue(0.0, 1)
     if z <= 0.0:
-        if -z <= _PCF_SERIES_ZMAX_NEG:
-            try:
-                return _pcf_kummer(nu, z)
-            except ConvergenceError:
-                return _pcf_integral_or_recur(nu, z)
-        try:
-            return _pcf_asymptotic_neg(nu, z)
-        except ConvergenceError:
-            return _pcf_integral_or_recur(nu, z)
-    if z <= _PCF_SERIES_ZMAX_POS:
-        try:
-            return _pcf_kummer(nu, z)
-        except ConvergenceError:
-            return _pcf_integral_or_recur(nu, z)
-    if z >= _PCF_ASYMPTOTIC_ZMIN_POS:
-        try:
-            return _pcf_asymptotic_pos(nu, z)
-        except ConvergenceError:
-            return _pcf_integral_or_recur(nu, z)
-    return _pcf_integral_or_recur(nu, z)
+        route = (_pcf_kummer if -z <= _PCF_SERIES_ZMAX_NEG
+                 else _pcf_asymptotic_neg)
+    elif z <= _PCF_SERIES_ZMAX_POS:
+        route = _pcf_kummer
+    elif z >= _PCF_ASYMPTOTIC_ZMIN_POS:
+        route = _pcf_asymptotic_pos
+    else:
+        return _pcf_integral_or_recur(nu, z)
+    try:
+        return route(nu, z)
+    except ConvergenceError:
+        return _pcf_integral_or_recur(nu, z)
 
 
 def _pcf_integral_or_recur(nu: float, z: float) -> ScaledValue:

@@ -20,6 +20,14 @@ LOG_Z_REFERENCE = [
     (10, 20.0, 0.05, 2025.8105952081357),
     (4, -0.5, 9.0, -0.74568393465075426),
     (1, 40.0, 10.0, 39.079310058080472),
+    # large dim: the quadrature route must shift by the peak of the whole
+    # exponent, y**(D/2-1) included, or its integrand overflows
+    (500, -1.0, 0.01, 109.52688446033164822),
+    (1000, 3.0, 0.2, -390.72696960916802864),
+    # peaks narrow against their distance from y = 1, which the coarse
+    # quadrature levels miss unless the peak sits on a node
+    (8, 15.7, 0.0063, 9808.6256450625486897),
+    (3, 250000.0, 31250.0, 499997.92850173731159),
 ]
 
 MOMENT_REFERENCE = [

@@ -57,17 +57,43 @@ def test_sample_input_validation():
         sampling.sample(p, 10, "not a generator")
 
 
-@pytest.mark.parametrize("dim,l1,l2", SHAPES)
+THIN_RINGS = [core.ring_to_radial(core.RingParams(2, 1e4, 1.0)),
+              core.ring_to_radial(core.RingParams(3, 1e8, 1.0))]
+
+
+@pytest.mark.parametrize("dim,l1,l2", SHAPES + [
+    (p.dim, p.lambda1, p.lambda2) for p in THIN_RINGS[:1]])
 def test_table_cdf_properties(dim, l1, l2):
     table = sampling.build_radial_table(core.RadialParams(dim, l1, l2))
     assert table.cdf(0.0) == 0.0
     np.testing.assert_allclose(table.cdf(table.r_max), 1.0, rtol=1e-12)
     assert np.all(np.diff(table.cdf_values) >= 0.0)
     assert np.all(table.pdf_values >= 0.0)
+    # the cubic between knots is monotone too, 201 points per cell
+    t = np.linspace(0.0, 1.0, 201)
+    r = (1.0 - t) * table.knots[:-1, None] + t * table.knots[1:, None]
+    v = table.cdf(r)
+    assert np.max(np.maximum.accumulate(v, axis=1) - v) <= 1e-14
 
 
-THIN_RINGS = [core.ring_to_radial(core.RingParams(2, 1e4, 1.0)),
-              core.ring_to_radial(core.RingParams(3, 1e8, 1.0))]
+def test_thin_ring_table_resolves_the_ring():
+    """A ring of width ~5e-5 at R = 1 keeps its knots inside the mass."""
+    table = sampling.build_radial_table(THIN_RINGS[1])
+    cdf = table.cdf_values
+    assert np.sum((cdf > 1e-4) & (cdf < 1.0 - 1e-4)) >= 2000
+    assert np.all(cdf[:-1] < 1.0)
+
+
+def test_sample_thin_ring_width():
+    """Radii of a thin ring are normal about R with sd R / (2 sqrt(alpha))."""
+    ring = core.RingParams(2, 1e8, 1.3)
+    x = sampling.sample(core.ring_to_radial(ring), 100000,
+                        sampling.SeededGenerator(8))
+    r = np.linalg.norm(x, axis=1)
+    np.testing.assert_allclose(np.mean(r), ring.radius, rtol=1e-5)
+    np.testing.assert_allclose(np.std(r),
+                               ring.radius / (2.0 * math.sqrt(ring.alpha)),
+                               rtol=0.02)
 
 
 @pytest.mark.parametrize("dim,l1,l2", SHAPES + [

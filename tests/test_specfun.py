@@ -21,6 +21,11 @@ PCF_LOG_REFERENCE = [
     (-9.0, 2.5, -13.27803207272385),
     (-0.25, -0.7, 0.24663700995469496),
     (-4.5, 35.0, -322.25911926567595),
+    # large order where the asymptotic series stalls: the integral route's
+    # panels must resolve a peak of width 1/sqrt(t*^2 - nu)
+    (-50.0, -22.36, 135.76011620989079135),
+    (-100.0, -22.36, 82.648434734243337524),
+    (-500.0, -22.36, -784.19741069803451732),
 ]
 
 KUMMER_REFERENCE = [
