@@ -248,20 +248,32 @@ def _log_z_quadrature(dim: int, l1: float, l2: float) -> float:
         peak = ((l1 + disc) / (4.0 * l2) if l1 > 0
                 else 2.0 * power / (disc - l1))
         shift = power * math.log(peak) + l1 * peak - l2 * peak * peak
-        # y = peak * s puts a peak narrower than half its distance from 0
-        # (Laplace width peak / sqrt(power + 2 l2 peak^2)) on the rule's
-        # centre node s = 1, where even the coarsest level sees it
-        scale = peak if power + 2.0 * l2 * peak * peak > 4.0 else 1.0
     else:
         # peak of l1 y - l2 y^2 over y >= 0 (y^(-1/2) at D = 1 has none)
+        peak = 0.5 * l1 / l2 if l1 > 0 else 0.0
         shift = l1 * l1 / (4.0 * l2) if l1 > 0 else 0.0
+    a = l2 * peak * peak
+    if power + 2.0 * a > 4.0:
+        # y = peak * s puts a peak narrower than half its distance from 0
+        # (Laplace width peak / sqrt(power + 2 l2 peak^2)) on the rule's
+        # centre node s = 1, where even the coarsest level sees it; written
+        # about s = 1, the exponent does not cancel terms of size l1 y whose
+        # rounding alone stalls the rule on thin rings (alpha ~ 1e8)
+        scale, shift = peak, power * math.log(peak) + l1 * peak - a
+        c = l1 * peak - 2.0 * a
+
+        def integrand(s):
+            return np.exp(power * np.log(s) + (s - 1.0) * (c - a * (s - 1.0)))
+    else:
         scale = 1.0
 
-    def integrand(s):
-        y = scale * s
-        return np.exp(power * np.log(y) + l1 * y - l2 * y * y - shift)
+        def integrand(y):
+            return np.exp(power * np.log(y) + l1 * y - l2 * y * y - shift)
 
     res = quadrature.integrate_semi_infinite(integrand, target_rel_tol=1e-11)
+    if not res.value > 0.0:
+        raise ConvergenceError(f"quadrature gave a nonpositive integral for "
+                               f"dim={dim}, lambda1={l1}, lambda2={l2}")
     return (log_sphere_surface_area(dim - 1) - _LN_2 + shift
             + math.log(scale) + math.log(res.value))
 

@@ -26,6 +26,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 
 _EPS = 2.220446049250313e-16
+_TINY = 2.2250738585072014e-308  # the smallest normal float
 _HALF_PI = 0.5 * math.pi
 _BASE_STEP = 0.5
 _T_MAX = 4.8
@@ -77,14 +78,14 @@ def integrate_semi_infinite(f: Callable[[float], float], *,
                           1 if level == 0 else 2)
         u = _HALF_PI * np.sinh(t)
         coshs = _HALF_PI * np.cosh(t)
-        y_hi = np.exp(u)
-        y_lo = np.exp(-u)
-        terms = (coshs * y_hi * _evaluate(f, y_hi)
-                 + coshs * y_lo * _evaluate(f, y_lo))
-        n = 2 * t.size
+        # y_hi, y_lo and, at level 0, the centre node y = 1
+        y = np.exp(np.concatenate((u, -u, [0.0] if level == 0 else [])))
+        fy = _evaluate(f, y)
+        k = t.size
+        terms = coshs * y[:k] * fy[:k] + coshs * y[k:2 * k] * fy[k:2 * k]
         if level == 0:
-            terms = np.append(terms, _HALF_PI * float(f(1.0)))
-            n += 1
+            terms = np.append(terms, _HALF_PI * fy[-1])
+        n = y.size
         if evals + n > max_evaluations:
             raise ConvergenceError(
                 "quadrature evaluation budget exhausted",
@@ -95,7 +96,9 @@ def integrate_semi_infinite(f: Callable[[float], float], *,
         if level >= 1:
             diff = abs(value - prev)
             tol = max(target_rel_tol * abs(value), target_abs_tol, 1e-300)
-            if level >= 2 and diff <= tol:
+            # a subnormal value is mass the coarse levels missed, not zero
+            if level >= 2 and diff <= tol and (
+                    abs(value) >= _TINY or target_abs_tol > 0.0):
                 return QuadResult(value, max(diff, _EPS * abs(value)), evals)
         prev = value
     raise ConvergenceError(

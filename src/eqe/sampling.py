@@ -9,8 +9,13 @@ rings are resolved.  Knots go uniformly in the pilot CDF (log-spaced in
 both tails), and each knot's CDF is the pilot mass up to its pilot cell
 plus one panel to the knot, near machine accuracy.  A cubic Hermite
 interpolant with exact density derivatives represents the CDF between
-knots.  Inversion takes four clamped Newton steps in each level's knot
-cell from the cell secant and bisects the few levels left unresolved.
+knots; the table builds each cell's cubic once.  Inversion finds each
+level's knot cell through a guide index (Chen & Asau 1974; Devroye 1986,
+sec. III.2.4): [0, 1] is cut into 4096 equal buckets, each recording the
+last knot at or below its left edge, and a level steps on from its
+bucket's knot past the few knots inside the bucket.  In the cell it takes
+four clamped Newton steps from the cell secant and bisects the few levels
+left unresolved, working through the levels in blocks that stay in cache.
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ from .quadrature import gauss_legendre_panels
 _TAIL_MASS = 1e-14
 _PILOT_PANELS = 4096
 _N_KNOTS = 2048
+_GUIDE = 4096  # a power of two: u * _GUIDE and its floor are exact
+_BLOCK = 8192
 
 
 class SeededGenerator:
@@ -95,10 +102,22 @@ def _tail_cutoff(p: core.RadialParams, log_norm: float,
 
 
 def _hermite(coef: tuple, t, slope: bool = False):
-    """Cell cubics ``coef`` at t in [0, 1], with t-derivatives if ``slope``."""
+    """Cell cubics ``coef`` at t in [0, 1], with t-derivatives if ``slope``:
+    c0 + t (c1 + t (c2 + t c3)) and c1 + t (2 c2 + 3 t c3), by Horner's
+    rule in place, which spares the temporaries."""
     c0, c1, c2, c3 = coef
-    value = c0 + t * (c1 + t * (c2 + t * c3))
-    return (value, c1 + t * (2.0 * c2 + 3.0 * t * c3)) if slope else value
+    value = t * c3
+    for c in (c2, c1):
+        value += c
+        value *= t
+    value += c0
+    if not slope:
+        return value
+    d = 3.0 * t * c3
+    d += 2.0 * c2
+    d *= t
+    d += c1
+    return value, d
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,53 +134,83 @@ class RadialCdfTable:
     def __post_init__(self):
         for arr in (self.knots, self.cdf_values, self.pdf_values):
             arr.flags.writeable = False
-
-    def _cells(self, idx: np.ndarray) -> tuple:
-        """Power-basis coefficients in t of the Hermite CDF on cells idx."""
-        h = self.knots[idx + 1] - self.knots[idx]
-        y0, mass = self.cdf_values[idx], np.diff(self.cdf_values)[idx]
-        a, b = h * self.pdf_values[idx], h * self.pdf_values[idx + 1]
-        return y0, a, 3.0 * mass - 2.0 * a - b, a + b - 2.0 * mass
+        # per-cell constants, so that a lookup only gathers: the Hermite
+        # CDF's power-basis coefficients in t, the cell's mass and its
+        # Newton slope floor
+        h, mass = np.diff(self.knots), np.diff(self.cdf_values)
+        a, b = h * self.pdf_values[:-1], h * self.pdf_values[1:]
+        cells = np.stack((self.cdf_values[:-1], a, 3.0 * mass - 2.0 * a - b,
+                          a + b - 2.0 * mass, mass,
+                          np.maximum(1e-3 * mass, 1e-300)))
+        # guide[j]: the last cell whose CDF starts at or below j / _GUIDE;
+        # upper: each cell's end CDF, inf at the last so no lookup passes it
+        guide = np.minimum(np.searchsorted(
+            self.cdf_values, np.arange(_GUIDE + 1) / _GUIDE, side="right") - 1,
+            mass.size - 1)
+        upper = np.append(self.cdf_values[1:-1], np.inf)
+        for name, arr in (("_cells", cells), ("_guide", guide),
+                          ("_upper", upper)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def cdf(self, r) -> np.ndarray | float:
         r = np.clip(np.asarray(r, dtype=float), 0.0, self.r_max)
         idx = np.clip(np.searchsorted(self.knots, r, side="right") - 1,
                       0, self.knots.size - 2)
         t = (r - self.knots[idx]) / (self.knots[idx + 1] - self.knots[idx])
-        out = np.clip(_hermite(self._cells(idx), t), 0.0, 1.0)
+        out = np.clip(_hermite(self._cells[:4, idx], t), 0.0, 1.0)
         return float(out) if out.ndim == 0 else out
 
     def inverse_cdf(self, u) -> np.ndarray | float:
         u_arr = np.atleast_1d(np.asarray(u, dtype=float))
         if not np.all((u_arr >= 0.0) & (u_arr <= 1.0)):  # NaN fails too
             raise DomainError("quantile levels must lie in [0, 1]")
-        idx = np.clip(
-            np.searchsorted(self.cdf_values, u_arr, side="right") - 1,
-            0, self.knots.size - 2)
-        coef = self._cells(idx)
-        mass = np.diff(self.cdf_values)[idx]
-        # clamped Newton in the cell from its secant (t = 1 in a flat last
-        # cell, u = 1); the secant floors the slope in near-flat cells
-        t = np.clip(np.divide(u_arr - coef[0], mass, out=np.ones_like(u_arr),
-                              where=mass > 0.0), 0.0, 1.0)
-        floor = np.maximum(1e-3 * mass, 1e-300)
-        for _ in range(4):
-            value, slope = _hermite(coef, t, slope=True)
-            t = np.clip(t - (value - u_arr) / np.maximum(slope, floor),
-                        0.0, 1.0)
+        # the work is elementwise: do it in blocks that stay in cache
+        flat = u_arr.ravel()
+        parts = [self._invert(block) for block in
+                 np.split(flat, range(_BLOCK, flat.size, _BLOCK))]
+        r, bad = (np.concatenate(part) for part in zip(*parts))
         # bisect the stragglers (cells whose slope floor throttled Newton)
-        bad = np.abs(_hermite(coef, t) - u_arr) > 1e-12 + 1e-9 * mass
         if np.any(bad):
-            coef_bad, ub = tuple(c[bad] for c in coef), u_arr[bad]
+            ub = flat[bad]
+            idx = self._cell(ub)
+            coef = self._cells[:4, idx]
             lo, hi = np.zeros_like(ub), np.ones_like(ub)
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                high = _hermite(coef_bad, mid) > ub
+                high = _hermite(coef, mid) > ub
                 lo, hi = np.where(high, lo, mid), np.where(high, mid, hi)
-            t[bad] = 0.5 * (lo + hi)
+            r[bad] = self._radius(idx, 0.5 * (lo + hi))
+        return float(r[0]) if np.ndim(u) == 0 else r.reshape(u_arr.shape)
+
+    def _cell(self, u: np.ndarray) -> np.ndarray:
+        """Knot cell of each level u of a 1-d array: the last knot with CDF
+        <= u, or the last cell.  Steps on from the guide's cell to it."""
+        idx = self._guide[(u * _GUIDE).astype(np.intp)]
+        lane = np.flatnonzero(self._upper[idx] <= u)
+        while lane.size:
+            idx[lane] += 1
+            lane = lane[self._upper[idx[lane]] <= u[lane]]
+        return idx
+
+    def _invert(self, u: np.ndarray) -> tuple:
+        """Radii of a 1-d block of levels, and the levels left unresolved."""
+        idx = self._cell(u)
+        *coef, mass, floor = self._cells.take(idx, axis=1)
+        # clamped Newton in the cell from its secant (t = 1 in a flat last
+        # cell, u = 1); the secant floors the slope in near-flat cells
+        t = np.clip(np.divide(u - coef[0], mass, out=np.ones_like(u),
+                              where=mass > 0.0), 0.0, 1.0)
+        for _ in range(4):
+            value, slope = _hermite(coef, t, slope=True)
+            t -= (value - u) / np.maximum(slope, floor)
+            np.clip(t, 0.0, 1.0, out=t)
+        bad = np.abs(_hermite(coef, t) - u) > 1e-12 + 1e-9 * mass
+        return self._radius(idx, t), bad
+
+    def _radius(self, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
         # exact knots at t = 0 and t = 1, unlike knots[idx] + t h
-        r = (1.0 - t) * self.knots[idx] + t * self.knots[idx + 1]
-        return float(r[0]) if np.ndim(u) == 0 else r
+        return (1.0 - t) * self.knots[idx] + t * self.knots[idx + 1]
 
 
 def build_radial_table(params: core.Params) -> RadialCdfTable:
@@ -242,7 +291,9 @@ def sample(params: core.Params, n: int, gen) -> np.ndarray:
     v = rng.standard_normal((n, p.dim))
     norms = np.linalg.norm(v, axis=1)
     norms[norms == 0.0] = 1.0
-    x = r[:, None] * v / norms[:, None]
+    v *= r[:, None]
+    v /= norms[:, None]
     if isinstance(params, core.EllipticalParams):
-        x = params.mu + x @ params._chol.T
-    return x
+        v = v @ params._chol.T
+        v += params.mu
+    return v

@@ -69,6 +69,16 @@ def test_logz_method_forcing(runner):
     np.testing.assert_allclose(a["log_z"], b["log_z"], rtol=1e-10)
 
 
+def test_logz_quad_on_thin_ring(runner):
+    """A ring of alpha 1.6e7 at R = 2: the quadrature route must find it."""
+    base = ["logz", "--dim", "2", "--lambda1", "4e6", "--lambda2", "5e5"]
+    res = runner.invoke(cli.main, base + ["--method", "quad"])
+    assert res.exit_code == 0
+    a = json.loads(runner.invoke(cli.main, base).stdout)
+    np.testing.assert_allclose(json.loads(res.stdout)["log_z"], a["log_z"],
+                               rtol=1e-13)
+
+
 def test_logz_usage_errors(runner, radial_file):
     assert runner.invoke(cli.main, ["logz"]).exit_code == 2
     assert runner.invoke(cli.main, ["logz", "--dim", "2"]).exit_code == 2

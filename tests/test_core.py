@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from eqe import core, quadrature
-from eqe.errors import DomainError
+from eqe.errors import ConvergenceError, DomainError
 
 # Normalization constants, radial moments and entropies below were
 # computed with 40-digit arbitrary precision quadrature against the
@@ -158,6 +158,27 @@ def test_log_norm_const_routes_agree(dim, l1, l2, log_ref):
     a = core.log_norm_const(p, "pcf")
     b = core.log_norm_const(p, "quadrature")
     np.testing.assert_allclose(a, b, rtol=1e-11, atol=1e-11)
+
+
+@pytest.mark.parametrize("alpha", [1e2, 1e6, 1e8])
+@pytest.mark.parametrize("radius", [0.5, 2.0])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_log_norm_const_routes_agree_on_thin_rings(dim, radius, alpha):
+    """A thin ring at R != 1 puts the quadrature route's narrow peak far
+    from y = 1, which its coarse levels miss unless the peak sits on a
+    node."""
+    p = core.ring_to_radial(core.RingParams(dim, alpha, radius))
+    a = core.log_norm_const(p, "pcf")
+    b = core.log_norm_const(p, "quadrature")
+    # log Z ~ alpha / 2 carries rounding of a few ulps by either route
+    np.testing.assert_allclose(b, a, rtol=2e-15, atol=1e-11)
+
+
+def test_quadrature_log_z_rejects_nonpositive_integral(monkeypatch):
+    monkeypatch.setattr(quadrature, "integrate_semi_infinite",
+                        lambda f, **kw: quadrature.QuadResult(0.0, 0.0, 1))
+    with pytest.raises(ConvergenceError):
+        core.log_norm_const(core.RadialParams(2, 1.25, 0.75), "quadrature")
 
 
 def test_log_norm_const_gaussian_point():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eqe import quadrature
-from eqe.errors import ConvergenceError
+from eqe.errors import ConvergenceError, DomainError
 
 
 def _damped_oscillation(y):
@@ -60,6 +60,28 @@ def test_zero_integral_needs_absolute_escape():
         quadrature.integrate_semi_infinite(f, max_evaluations=5000)
     res = quadrature.integrate_semi_infinite(f, target_abs_tol=1e-12)
     assert abs(res.value) < 1e-12
+
+
+def test_missed_narrow_peak_is_not_converged():
+    """Levels that miss a narrow peak far from y = 1 see only underflow;
+    two such levels agreeing is no convergence."""
+    def f(y):
+        return np.exp(-((y - 50.0) / 1e-2) ** 2)
+
+    try:
+        res = quadrature.integrate_semi_infinite(f, max_evaluations=5000)
+    except ConvergenceError:
+        return
+    np.testing.assert_allclose(res.value, 1e-2 * math.sqrt(math.pi),
+                               rtol=1e-8)
+
+
+def test_nonfinite_centre_node_is_a_domain_error():
+    def f(y):
+        return np.where(y == 1.0, np.nan, np.exp(-y))
+
+    with pytest.raises(DomainError, match="non-finite"):
+        quadrature.integrate_semi_infinite(f)
 
 
 def test_semi_infinite_exponential():

@@ -112,6 +112,46 @@ def test_table_inverse_round_trip(dim, l1, l2):
     assert table.inverse_cdf(1.0) == table.r_max
 
 
+@pytest.mark.parametrize("params", [
+    core.RadialParams(*shape) for shape in SHAPES] + THIN_RINGS, ids=str)
+def test_guide_finds_the_searchsorted_cell(params):
+    table = sampling.build_radial_table(params)
+    c, m = table.cdf_values, sampling._GUIDE
+    # the log-spaced edge knots share guide buckets, so lookups must step
+    assert np.max(np.unique(np.floor(c * m), return_counts=True)[1]) > 2
+    # u = 0 and 1, every knot CDF and its one-ulp neighbours, every guide
+    # edge and 1e5 uniforms
+    u = np.clip(np.concatenate(
+        ([0.0, 1.0], c, np.nextafter(c, -1.0), np.nextafter(c, 2.0),
+         np.arange(m + 1) / m,
+         np.random.default_rng(params.dim).random(100000))), 0.0, 1.0)
+    want = np.clip(np.searchsorted(table.cdf_values, u, side="right") - 1,
+                   0, table.knots.size - 2)
+    np.testing.assert_array_equal(table._cell(u), want)
+
+
+def test_table_from_public_constructor():
+    """A table built field by field inverts as build_radial_table's does,
+    and its derived arrays are read-only too."""
+    built = sampling.build_radial_table(THIN_RINGS[0])
+    table = sampling.RadialCdfTable(
+        params=built.params, knots=built.knots.copy(),
+        cdf_values=built.cdf_values.copy(),
+        pdf_values=built.pdf_values.copy(), r_max=built.r_max,
+        log_norm=built.log_norm)
+    u = np.random.default_rng(3).random(50000)
+    r = built.inverse_cdf(u)
+    np.testing.assert_array_equal(table.inverse_cdf(u), r)
+    np.testing.assert_array_equal(table.inverse_cdf(u.reshape(2, -1)),
+                                  r.reshape(2, -1))
+    assert [table.inverse_cdf(x) for x in u[:5]] == list(r[:5])
+    assert table.inverse_cdf(np.empty(0)).shape == (0,)
+    np.testing.assert_array_equal(table.cdf(r), built.cdf(r))
+    for arr in (table.knots, table.cdf_values, table.pdf_values,
+                table._cells, table._guide, table._upper):
+        assert not arr.flags.writeable
+
+
 def test_table_covers_the_mode():
     p = core.RadialParams(2, 8.0, 4.0)
     table = sampling.build_radial_table(p)
