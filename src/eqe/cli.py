@@ -21,6 +21,7 @@ from . import condmarg, core, fit, sampling
 from .errors import ConvergenceError, DomainError, InfeasibleMomentsError
 
 _FLT = "%.17g"
+_CSV_CHUNK = 4096  # rows per write, which bounds the memory it takes
 
 
 class NumericalFailure(click.ClickException):
@@ -102,10 +103,14 @@ def _emit_json(doc: dict) -> None:
     click.echo(json.dumps(doc, indent=2))
 
 
-def _write_csv(stream, header: list[str], rows) -> None:
+def _write_csv(stream, header: list[str], rows: np.ndarray) -> None:
+    """Write a 2-d array as CSV, formatting one chunk of rows per ``%``
+    (a Python-level format per value would dominate the command)."""
     stream.write(",".join(header) + "\n")
-    for row in rows:
-        stream.write(",".join(_FLT % v for v in row) + "\n")
+    line = ",".join([_FLT] * rows.shape[1]) + "\n"
+    for start in range(0, rows.shape[0], _CSV_CHUNK):
+        part = rows[start:start + _CSV_CHUNK]
+        stream.write(line * part.shape[0] % tuple(part.ravel().tolist()))
 
 
 def _csv_out(out_path, header, rows):
@@ -275,11 +280,11 @@ def cmd_marginal(params_path, dim1, rmax, npts, out_path):
     dens = [math.exp(condmarg._marginal_log_density_q(params, split, r * r))
             for r in rs]
     peaks = condmarg.marginal_peaks(params, split)
+    _csv_out(out_path, ["r1", "marginal_density"],
+             np.column_stack([rs, dens]))
     if out_path is None:
-        _write_csv(sys.stdout, ["r1", "marginal_density"], zip(rs, dens))
         click.echo(json.dumps({"peaks": peaks}), err=True)
     else:
-        _csv_out(out_path, ["r1", "marginal_density"], zip(rs, dens))
         _emit_json({"peaks": peaks})
 
 
@@ -296,13 +301,20 @@ def _selfcheck_checks():
                 worst = max(worst, abs(a - b) / max(1.0, abs(a)))
     checks.append(("normalization_dual_path", worst, 1e-8))
 
-    worst = 0.0
-    for l1 in (-12.0, -1.0, 0.0, 3.0, 15.0):
-        for l2 in (0.1, 1.0, 20.0):
-            a = core.log_norm_const_d2_closed(l1, l2)
-            b = core.log_norm_const(core.RadialParams(2, l1, l2), "pcf")
-            worst = max(worst, abs(a - b) / max(1.0, abs(a)))
-    checks.append(("d2_closed_form", worst, 1e-10))
+    # Z in closed form: through erfc at D = 2, through K_{1/4} at D = 1
+    # (lambda1 < 0 only)
+    for name, d, closed, l1s in (
+            ("d2_closed_form", 2, core.log_norm_const_d2_closed,
+             (-12.0, -1.0, 0.0, 3.0, 15.0)),
+            ("d1_closed_form", 1, core.log_norm_const_d1_neg,
+             (-12.0, -3.0, -1.0, -0.2))):
+        worst = 0.0
+        for l1 in l1s:
+            for l2 in (0.1, 1.0, 20.0):
+                a = closed(l1, l2)
+                b = core.log_norm_const(core.RadialParams(d, l1, l2), "pcf")
+                worst = max(worst, abs(a - b) / max(1.0, abs(a)))
+        checks.append((name, worst, 1e-10))
 
     worst = 0.0
     h = 1e-5

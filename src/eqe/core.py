@@ -123,7 +123,7 @@ def _whitened_sq_norms(chol: np.ndarray, x: np.ndarray) -> np.ndarray:
     batch: the Mahalanobis forms for sigma = chol chol'."""
     # as accurate as a triangular solve for these forms, and far faster
     v = x @ np.linalg.inv(chol).T
-    return np.sum(v * v, axis=1)
+    return np.einsum("ij,ij->i", v, v)
 
 
 class _ShapeMatrix:
@@ -396,14 +396,16 @@ def _sq_norms(params: Params | EllipticalGammaReference,
     if x.ndim != 2 or x.shape[1] != d:
         raise DomainError(f"points must have shape ({d},) or (n, {d}), got "
                           f"{np.asarray(x).shape}")
-    if not np.all(np.isfinite(x)):
-        raise DomainError("points must be finite")
     if isinstance(params, RadialParams):
-        q = np.sum(x * x, axis=1)
+        q = np.einsum("ij,ij->i", x, x)
+    elif isinstance(params, EllipticalParams):
+        q = _whitened_sq_norms(params._chol, x - params.mu)
     else:
-        if isinstance(params, EllipticalParams):
-            x = x - params.mu
         q = _whitened_sq_norms(params._chol, x)
+    # a non-finite point always gives a non-finite q, so x needs a look
+    # only then: a finite point may overflow q too (its density is 0)
+    if not np.all(np.isfinite(q)) and not np.all(np.isfinite(x)):
+        raise DomainError("points must be finite")
     return q[0] if squeeze else q
 
 
@@ -504,7 +506,8 @@ class EllipticalGammaReference(_ShapeMatrix):
 
     def sample(self, n: int, gen) -> np.ndarray:
         """n draws; gen is a SeededGenerator or a numpy Generator."""
-        if not isinstance(n, (int, np.integer)) or n < 1:
+        if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
+                or n < 1):
             raise DomainError(f"n must be a positive integer, got {n!r}")
         rng = getattr(gen, "rng", gen)
         if not isinstance(rng, np.random.Generator):
@@ -512,9 +515,8 @@ class EllipticalGammaReference(_ShapeMatrix):
                               f"Generator, got {type(gen).__name__}")
         q = rng.gamma(shape=self.a, scale=self.b, size=n)
         v = rng.standard_normal((n, self.dim))
-        u = v / np.linalg.norm(v, axis=1, keepdims=True)
-        y = np.sqrt(q)[:, None] * u
-        return y @ self._chol.T
+        v *= (np.sqrt(q) / np.sqrt(np.einsum("ij,ij->i", v, v)))[:, None]
+        return v @ self._chol.T
 
 
 def eg_reference(sigma: np.ndarray, a: float, b: float

@@ -16,6 +16,12 @@ last knot at or below its left edge, and a level steps on from its
 bucket's knot past the few knots inside the bucket.  In the cell it takes
 four clamped Newton steps from the cell secant and bisects the few levels
 left unresolved, working through the levels in blocks that stay in cache.
+
+A draw takes its radius from the first n uniforms of the stream and its
+direction from the n*D normals after them.  The same seed gives the same
+draws within a version; the arithmetic that scales a direction to its
+radius may change in the last bits between versions (one such change
+moved draws by at most 4 ulps).
 """
 
 from __future__ import annotations
@@ -289,10 +295,10 @@ def sample(params: core.Params, n: int, gen) -> np.ndarray:
     table = _cached_table(p)
     r = np.atleast_1d(table.inverse_cdf(rng.random(n)))
     v = rng.standard_normal((n, p.dim))
-    norms = np.linalg.norm(v, axis=1)
+    norms = np.sqrt(np.einsum("ij,ij->i", v, v))
     norms[norms == 0.0] = 1.0
+    r /= norms
     v *= r[:, None]
-    v /= norms[:, None]
     if isinstance(params, core.EllipticalParams):
         v = v @ params._chol.T
         v += params.mu

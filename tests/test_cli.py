@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -190,6 +191,24 @@ def test_sample_to_file(runner, radial_file, tmp_path):
     assert data.shape == (25, 3)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (4096, 2), (4097, 3), (9000, 5)])
+def test_csv_writer_matches_per_value_format(shape):
+    # the chunked writer gives the bytes of formatting value by value,
+    # across chunk edges and for signed zeros, non-finite values,
+    # subnormals and the extremes of the float range
+    rng = np.random.default_rng(shape[0])
+    rows = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300,
+                                                            shape)
+    rows.flat[:7] = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                     1.7976931348623157e308][:rows.size]
+    header = [f"c{i}" for i in range(shape[1])]
+    want = ",".join(header) + "\n" + "".join(
+        ",".join("%.17g" % v for v in row) + "\n" for row in rows)
+    out = io.StringIO()
+    cli._write_csv(out, header, rows)
+    assert out.getvalue() == want
+
+
 def test_fit_round_trip_through_files(runner, ring_file, tmp_path):
     draws = tmp_path / "draws.csv"
     fitted = tmp_path / "fitted.json"
@@ -319,6 +338,7 @@ def test_selfcheck_passes(runner):
     assert doc["passed"] is True
     names = {c["name"] for c in doc["checks"]}
     assert "normalization_dual_path" in names
+    assert {"d1_closed_form", "d2_closed_form"} <= names
     assert "sampler_ks" in names
     assert all(c["passed"] for c in doc["checks"])
 

@@ -415,6 +415,22 @@ def test_log_density_far_out_is_minus_inf(lambda1, scale):
             np.testing.assert_array_equal(core.density(p, batch)[[0, 2]], 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_log_density_rejects_nonfinite_points(bad):
+    # a non-finite coordinate is bad input, never a -inf or NaN density,
+    # in a single point and anywhere in a batch
+    rad = core.RadialParams(2, 3.0, 1.0)
+    full = core.EllipticalParams([0.5, -1.0], [[2.0, 0.3], [0.3, 1.0]], rad)
+    points = (np.array([bad, 0.0]),
+              np.array([[0.3, -0.2], [0.1, bad], [1e200, 0.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (rad, full):
+            for x in points:
+                with pytest.raises(DomainError, match="points must be finite"):
+                    core.log_density(p, x)
+
+
 # ---------------------------------------------------------------------------
 # elliptical Gamma reference distribution
 
@@ -452,6 +468,13 @@ def test_eg_sampling_moments():
     assert x.shape == (40000, 3)
     q = np.sum(x * x, axis=1)
     np.testing.assert_allclose(np.mean(q), eg.moment_r2(), rtol=0.02)
+
+
+@pytest.mark.parametrize("n", [True, False, 0, -3, 2.5, "10", None])
+def test_eg_sample_rejects_bad_counts(n):
+    eg = core.eg_reference(np.eye(2), 3.0, 0.5)
+    with pytest.raises(DomainError, match="n must be a positive integer"):
+        eg.sample(n, np.random.default_rng(1))
 
 
 def test_eg_reference_rejects_bad_shape_matrix():

@@ -217,6 +217,23 @@ def test_stream_is_stable_across_batch_sizes():
     np.testing.assert_array_equal(x1, x2)
 
 
+@pytest.mark.parametrize("p", [core.RadialParams(*s) for s in SHAPES]
+                         + THIN_RINGS)
+def test_sample_follows_the_documented_stream_layout(p):
+    # n uniforms give the radii through the table, the next n * dim
+    # normals give the directions; one rounding of the radius and one of
+    # the scale stand between these and a draw
+    n = 2000
+    x = sampling.sample(p, n, sampling.SeededGenerator(61))
+    rng = sampling.SeededGenerator(61).rng
+    r = sampling.build_radial_table(p).inverse_cdf(rng.random(n))
+    v = rng.standard_normal((n, p.dim))
+    norms = np.linalg.norm(x, axis=1)
+    np.testing.assert_array_max_ulp(norms, r, maxulp=4)
+    np.testing.assert_array_max_ulp(
+        x / norms[:, None], v / np.linalg.norm(v, axis=1)[:, None], maxulp=4)
+
+
 def test_annular_samples_avoid_the_origin():
     # alpha = 18 gives a hard ring; the region near r = 0 carries on the
     # order of 1e-4 of the mass, so almost every draw hugs the shell
