@@ -274,8 +274,9 @@ def cmd_marginal(params_path, dim1, rmax, npts, out_path):
     if rmax is None:
         rmax = max(1.5 * core.radial_moment(params, 4) ** 0.25,
                    2.0 * core.mode_radius(params))
-    elif rmax <= 0:
-        raise click.UsageError(f"--rmax must be positive, got {rmax}")
+    elif not (math.isfinite(rmax) and rmax > 0):
+        raise click.UsageError(
+            f"--rmax must be finite and positive, got {rmax}")
     rs = np.linspace(0.0, rmax, npts)
     dens = [math.exp(condmarg._marginal_log_density_q(params, split, r * r))
             for r in rs]

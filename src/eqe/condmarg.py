@@ -5,7 +5,10 @@ Both reduce to the same observation: with q = q1 + q2 the joint exponent
 lambda1 q - lambda2 q**2 splits into a term in q1 alone plus
 (lambda1 - 2 lambda2 q1) q2 - lambda2 q2**2, so conditioning shifts the
 linear coefficient and marginalizing integrates x2 into a lower-dimensional
-normalization constant at that shifted coefficient.
+normalization constant at that shifted coefficient.  The marginal's peaks
+follow in closed form from the same picture: it decays from the origin
+unless x2 is one coordinate, and then it has a single peak whose place is
+set by the one real zero of D_{1/2}.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 
-_PEAK_GRID_SIZE = 512
-_PEAK_TOL = 1e-10
+# the one real zero of D_{1/2} (30 digits, mpmath)
+_Z0 = -0.764950867389759566027391419413
 
 
 @dataclass(frozen=True)
@@ -77,10 +80,14 @@ def conditional_params(p: core.RadialParams, split: BlockSplit,
 def _marginal_log_density_q(p: core.RadialParams, split: BlockSplit,
                             q1: float) -> float:
     shifted = p.lambda1 - 2.0 * p.lambda2 * q1
+    if not math.isfinite(shifted):
+        return -math.inf  # q1 so large that the density underflows
     log_z_inner = core.log_norm_const(
         core.RadialParams(split.dim2, shifted, p.lambda2))
-    return (p.lambda1 * q1 - p.lambda2 * q1 * q1 + log_z_inner
-            - core.log_norm_const(p))
+    out = (p.lambda1 * q1 - p.lambda2 * q1 * q1 + log_z_inner
+           - core.log_norm_const(p))
+    # inf - inf once q1**2 overflows; lambda2 > 0, so the quartic term wins
+    return -math.inf if math.isnan(out) else out
 
 
 def marginal_log_density(p: core.RadialParams, split: BlockSplit,
@@ -94,6 +101,9 @@ def marginal_log_density(p: core.RadialParams, split: BlockSplit,
         log p(x1) = lambda1 q1 - lambda2 q1**2
                     + log Z_dim2(lambda1 - 2 lambda2 q1, lambda2)
                     - log Z_D(lambda1, lambda2),   q1 = |x1|**2.
+
+    Never NaN and silent for finite x1: where q1 or q1**2 overflows, the
+    density underflows and the result is -inf.
     """
     _check_split(p, split)
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))
@@ -103,65 +113,31 @@ def marginal_log_density(p: core.RadialParams, split: BlockSplit,
             f"{x1.shape}")
     if not np.all(np.isfinite(x1)):
         raise DomainError("x1 must be finite")
-    return _marginal_log_density_q(p, split, float(x1 @ x1))
-
-
-def _marginal_slope(p: core.RadialParams, split: BlockSplit,
-                    q1: float) -> float:
-    """d/dq1 of the marginal log density.
-
-    By the gradient identity d log Z / d lambda1 = E[q], this is exactly
-    shifted - 2 lambda2 E[q2 | shifted], no finite differencing needed.
-    """
-    shifted = p.lambda1 - 2.0 * p.lambda2 * q1
-    inner = core.RadialParams(split.dim2, shifted, p.lambda2)
-    return shifted - 2.0 * p.lambda2 * core.radial_moment(inner, 2)
+    with np.errstate(over="ignore"):
+        q1 = float(x1 @ x1)
+    return _marginal_log_density_q(p, split, q1)
 
 
 def marginal_peaks(p: core.RadialParams, split: BlockSplit) -> list[float]:
     """Radii of the local maxima of the marginal density along r1 = |x1|,
     ascending.  Includes 0.0 when the marginal decays from the origin.
 
-    The slope in q1 is bounded above by the shifted linear coefficient,
-    which is negative for q1 past the squared mode radius, so every
-    stationary point lies in [0, R**2]; a sign-change scan over a grid
-    clustered toward R brackets them and bisection sharpens each to 1e-10
-    in r.  The marginal has at most two stationary points in r1; more sign
-    changes than that indicate a numerical fault and raise.
+    Up to a constant the marginal in q1 = r1**2 is
+
+        integral_{q1}^inf (t - q1)**(dim2/2 - 1)
+                          exp(lambda1 t - lambda2 t**2) dt,
+
+    which does not increase in q1 for dim2 >= 2: the only peak is the
+    origin.  For dim2 = 1 the recurrences of D_nu (DLMF 12.8) give its log
+    slope in q1 as -sqrt(2 lambda2) D_{1/2}(z) / D_{-1/2}(z), with
+    z = (2 lambda2 q1 - lambda1) / sqrt(2 lambda2).  D_{-1/2} is positive
+    and D_{1/2} changes sign once, from - to +, at z0, so the marginal
+    rises up to q1 = (lambda1 + sqrt(2 lambda2) z0) / (2 lambda2) and
+    falls after it; that point is the peak when it is positive.
     """
     _check_split(p, split)
-    slope0 = _marginal_slope(p, split, 0.0)
-    if p.lambda1 <= 0.0 or slope0 == 0.0:
-        # slope <= shifted coefficient <= lambda1 <= 0: monotone decay
-        return [0.0]
-    r_mode = core.mode_radius(p)
-    # grid over (0, R), log-clustered toward R where the crossing sits
-    gaps = r_mode * np.exp(np.linspace(math.log(1e-12), 0.0,
-                                       _PEAK_GRID_SIZE))
-    grid = np.concatenate(([0.0], (r_mode - gaps)[::-1], [r_mode]))
-    slopes = [slope0]
-    slopes.extend(_marginal_slope(p, split, r * r) for r in grid[1:])
-    crossings = []
-    for i in range(len(grid) - 1):
-        if slopes[i] > 0.0 >= slopes[i + 1]:
-            crossings.append((grid[i], grid[i + 1], 1))
-        elif slopes[i] < 0.0 <= slopes[i + 1]:
-            crossings.append((grid[i], grid[i + 1], -1))
-    if len(crossings) > 2:
-        raise ConvergenceError(
-            f"found {len(crossings)} stationary points of the marginal; "
-            "at most two are possible for a quartic exponent")
-    peaks = [0.0] if slope0 < 0.0 else []
-    for lo, hi, direction in crossings:
-        if direction != 1:
-            continue  # minimum
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if hi - lo <= _PEAK_TOL:
-                break
-            if _marginal_slope(p, split, mid * mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        peaks.append(0.5 * float(lo + hi))
-    return sorted(peaks)
+    if split.dim2 == 1:
+        c = p.lambda1 + math.sqrt(2.0 * p.lambda2) * _Z0
+        if c > 0.0:
+            return [math.sqrt(c / (2.0 * p.lambda2))]
+    return [0.0]

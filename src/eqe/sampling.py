@@ -219,6 +219,13 @@ class RadialCdfTable:
         return (1.0 - t) * self.knots[idx] + t * self.knots[idx + 1]
 
 
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """np.unique for finite floats, without the numpy.ma import that
+    np.unique and np.union1d trigger on first use."""
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))]
+
+
 def build_radial_table(params: core.Params) -> RadialCdfTable:
     """Build the radial inverse-CDF table.
 
@@ -235,10 +242,10 @@ def build_radial_table(params: core.Params) -> RadialCdfTable:
     # a uniform grid, refined over +-40 Laplace widths of the peak so that
     # thin rings are resolved too
     half = 40.0 / math.sqrt(curvature) if curvature > 0 else r_max
-    pilot = np.union1d(np.linspace(0.0, r_max, _PILOT_PANELS + 1),
-                       np.linspace(max(r_peak - half, 0.0),
-                                   min(r_peak + half, r_max),
-                                   _PILOT_PANELS + 1))
+    pilot = _sorted_unique(np.concatenate((
+        np.linspace(0.0, r_max, _PILOT_PANELS + 1),
+        np.linspace(max(r_peak - half, 0.0), min(r_peak + half, r_max),
+                    _PILOT_PANELS + 1))))
     log_f = partial(_log_radial_profile, p)
     pilot_cum = np.concatenate(([0.0], np.cumsum(
         gauss_legendre_panels(log_f, pilot[:-1], pilot[1:], shift))))
@@ -255,12 +262,12 @@ def build_radial_table(params: core.Params) -> RadialCdfTable:
     # a decade apart, the density changes little enough across an edge
     # cell for the cubic there to stay monotone
     edge = np.logspace(-13.0, -4.0, 10)
-    targets = np.unique(np.concatenate(
+    targets = _sorted_unique(np.concatenate(
         [edge, np.linspace(0.0, 1.0, _N_KNOTS - 2 * edge.size),
          1.0 - edge[::-1]]))
     knots = np.interp(targets, pilot_cum / total, pilot)
     knots[0], knots[-1] = 0.0, r_max
-    knots = np.unique(knots)
+    knots = _sorted_unique(knots)
 
     # the pilot's mass up to each knot's cell plus one panel to the knot
     cell = np.minimum(np.searchsorted(pilot, knots, side="right") - 1,

@@ -302,6 +302,24 @@ def test_marginal_file_output(runner, ring_file, tmp_path):
     assert np.all(data[:, 1] >= 0.0)
 
 
+def test_marginal_trailing_block_of_two_on_a_thin_ring(runner, tmp_path):
+    path = tmp_path / "ring4.json"
+    path.write_text(json.dumps(
+        {"dim": 4, "param_form": "ring", "alpha": 1e3, "R": 1}))
+    res = runner.invoke(cli.main, ["marginal", "--params", str(path),
+                                   "--dim1", "2", "--npts", "11"])
+    assert res.exit_code == 0
+    assert json.loads(res.stderr.strip().splitlines()[-1]) == {"peaks": [0.0]}
+
+
+@pytest.mark.parametrize("rmax", ["nan", "inf", "-inf", "0", "-1"])
+def test_marginal_rmax_must_be_finite_and_positive(runner, ring_file, rmax):
+    res = runner.invoke(cli.main, ["marginal", "--params", ring_file,
+                                   "--dim1", "1", "--rmax", rmax])
+    assert res.exit_code == 2
+    assert "--rmax" in res.output
+
+
 def test_marginal_dim1_bounds(runner, ring_file):
     res = runner.invoke(cli.main, ["marginal", "--params", ring_file,
                                    "--dim1", "2"])
@@ -350,14 +368,29 @@ def test_selfcheck_failure_exits_5(runner):
     assert doc["passed"] is False
 
 
-def test_start_up_imports_no_scipy():
-    # the CLI start-up path needs numpy and click only; a fresh interpreter
-    # shows what it loads (this process has scipy from the test suite)
+def _fresh_interpreter_stdout(code):
+    # a fresh interpreter shows what the code loads (this process has
+    # scipy and more from the test suite)
     src = str(pathlib.Path(eqe.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import sys, eqe, eqe.cli; print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True,
                           env=dict(os.environ, PYTHONPATH=path))
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_start_up_imports_no_scipy():
+    # the CLI start-up path needs numpy and click only
+    code = ("import sys, eqe, eqe.cli; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    assert _fresh_interpreter_stdout(code) == "[]"
+
+
+def test_first_table_build_imports_no_numpy_ma():
+    # numpy.ma costs about 15 ms of every cold `eqe sample`; some numpy set
+    # routines load it lazily
+    code = ("import sys, eqe.cli\n"
+            "from eqe import core, sampling\n"
+            "sampling.build_radial_table(core.RadialParams(3, 2.0, 1.0))\n"
+            "print('numpy.ma' in sys.modules)")
+    assert _fresh_interpreter_stdout(code) == "False"

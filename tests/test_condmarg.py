@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from eqe import condmarg, core, quadrature
+from eqe import condmarg, core, quadrature, specfun
 from eqe.condmarg import BlockSplit
 from eqe.errors import DomainError
 
@@ -168,8 +168,40 @@ def test_weak_ring_marginal_can_peak_at_origin():
 
 
 def test_peaks_lie_inside_the_mode_shell():
-    for alpha in (4.0, 8.0, 20.0):
+    for alpha in (4.0, 8.0, 20.0, 1e2, 1e4, 1e6, 1e8):
         p = core.ring_to_radial(core.RingParams(2, alpha, 1.0))
         peaks = condmarg.marginal_peaks(p, BlockSplit(1, 1))
         assert all(0.0 < r < 1.0 for r in peaks)
     assert peaks == sorted(peaks)
+
+
+@pytest.mark.parametrize("dim,dim1", [(3, 1), (4, 2), (4, 1), (5, 3),
+                                      (6, 4), (6, 3)])
+@pytest.mark.parametrize("alpha", [1e2, 1e3, 1e4, 1e6, 1e8])
+def test_trailing_block_of_two_or_more_peaks_at_origin(dim, dim1, alpha):
+    # for dim2 >= 2 the marginal in q1 is a nonincreasing integral of the
+    # joint over t >= q1: thin rings must not produce spurious peaks
+    p = core.ring_to_radial(core.RingParams(dim, alpha, 1.0))
+    assert condmarg.marginal_peaks(p, BlockSplit(dim1, dim - dim1)) == [0.0]
+
+
+def test_peak_constant_is_the_zero_of_d_half():
+    # D_{1/2}(z) = z D_{-1/2}(z) + D_{-3/2}(z) / 2 (DLMF 12.8.1); the
+    # scaled values share the positive factor e**(z**2/4)
+    def d_half(z):
+        return (z * specfun.pcf_d_scaled(-0.5, z).to_float()
+                + 0.5 * specfun.pcf_d_scaled(-1.5, z).to_float())
+
+    assert d_half(condmarg._Z0 - 1e-9) < 0.0 < d_half(condmarg._Z0 + 1e-9)
+
+
+@pytest.mark.parametrize("dim,l1,l2,x1", [
+    (2, 1.0, 1.0, [1e155]),      # q1 overflows
+    (2, 1.0, 1.0, [1e154]),      # the shifted coefficient overflows
+    (2, 1e10, 1e-10, [1e150]),   # inf - inf in the q1 terms
+    (3, -2.0, 1.0, [1e200, 1e200]),
+])
+def test_marginal_far_out_is_minus_inf(dim, l1, l2, x1):
+    p = core.RadialParams(dim, l1, l2)
+    split = BlockSplit(len(x1), dim - len(x1))
+    assert condmarg.marginal_log_density(p, split, np.array(x1)) == -np.inf
