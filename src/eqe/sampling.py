@@ -13,9 +13,12 @@ knots; the table builds each cell's cubic once.  Inversion finds each
 level's knot cell through a guide index (Chen & Asau 1974; Devroye 1986,
 sec. III.2.4): [0, 1] is cut into 4096 equal buckets, each recording the
 last knot at or below its left edge, and a level steps on from its
-bucket's knot past the few knots inside the bucket.  In the cell it takes
-four clamped Newton steps from the cell secant and bisects the few levels
-left unresolved, working through the levels in blocks that stay in cache.
+bucket's knot past the few knots inside the bucket.  In the cell one
+clamped Newton step runs from a seed, the inverse's own cubic Hermite, in
+blocks that stay in cache.  Levels whose residual is still above the
+cell's tolerance (1e-9 of its mass plus 4 ulps of its upper CDF; a few
+per thousand, in the cells next to the log-spaced edge knots) get four
+more steps and, if need be, bisection in one compact pass over all blocks.
 
 A draw takes its radius from the first n uniforms of the stream and its
 direction from the n*D normals after them.  The same seed gives the same
@@ -126,6 +129,16 @@ def _hermite(coef: tuple, t, slope: bool = False):
     return value, d
 
 
+def _newton(coef, floor, tol, u, t, steps: int) -> tuple:
+    """``steps`` clamped Newton steps on the cell cubics from t, the slope
+    floored in near-flat cells; t, and where |F(t) - u| is above ``tol``."""
+    for _ in range(steps):
+        value, slope = _hermite(coef, t, slope=True)
+        t -= (value - u) / np.maximum(slope, floor)
+        np.clip(t, 0.0, 1.0, out=t)
+    return t, np.abs(_hermite(coef, t) - u) > tol
+
+
 @dataclass(frozen=True, eq=False)
 class RadialCdfTable:
     """Shareable, immutable inverse-CDF table for the radial density."""
@@ -141,13 +154,20 @@ class RadialCdfTable:
         for arr in (self.knots, self.cdf_values, self.pdf_values):
             arr.flags.writeable = False
         # per-cell constants, so that a lookup only gathers: the Hermite
-        # CDF's power-basis coefficients in t, the cell's mass and its
-        # Newton slope floor
+        # CDF's power-basis coefficients in t, the cell's mass, its Newton
+        # slope floor, the seed's p and q and the residual tolerance.  The
+        # seed t = w + w (1 - w) (p + q w), w = (u - c0) / mass, is the
+        # inverse's cubic Hermite, its end slopes mass / a and mass / b
+        # capped at 3 so that it stays monotone
         h, mass = np.diff(self.knots), np.diff(self.cdf_values)
         a, b = h * self.pdf_values[:-1], h * self.pdf_values[1:]
+        s0, s1 = (np.divide(mass, x, out=np.full_like(mass, 3.0),
+                            where=3.0 * x > mass) for x in (a, b))
         cells = np.stack((self.cdf_values[:-1], a, 3.0 * mass - 2.0 * a - b,
                           a + b - 2.0 * mass, mass,
-                          np.maximum(1e-3 * mass, 1e-300)))
+                          np.maximum(1e-3 * mass, 1e-300), s0 - 1.0,
+                          2.0 - s0 - s1,
+                          1e-9 * mass + 4.0 * np.spacing(self.cdf_values[1:])))
         # guide[j]: the last cell whose CDF starts at or below j / _GUIDE;
         # upper: each cell's end CDF, inf at the last so no lookup passes it
         guide = np.minimum(np.searchsorted(
@@ -161,6 +181,8 @@ class RadialCdfTable:
 
     def cdf(self, r) -> np.ndarray | float:
         r = np.clip(np.asarray(r, dtype=float), 0.0, self.r_max)
+        if np.isnan(r).any():
+            raise DomainError("radii must not be NaN")
         idx = np.clip(np.searchsorted(self.knots, r, side="right") - 1,
                       0, self.knots.size - 2)
         t = (r - self.knots[idx]) / (self.knots[idx + 1] - self.knots[idx])
@@ -173,20 +195,31 @@ class RadialCdfTable:
             raise DomainError("quantile levels must lie in [0, 1]")
         # the work is elementwise: do it in blocks that stay in cache
         flat = u_arr.ravel()
-        parts = [self._invert(block) for block in
-                 np.split(flat, range(_BLOCK, flat.size, _BLOCK))]
-        r, bad = (np.concatenate(part) for part in zip(*parts))
-        # bisect the stragglers (cells whose slope floor throttled Newton)
-        if np.any(bad):
-            ub = flat[bad]
+        r = np.empty_like(flat)
+        lanes, iterates = [np.empty(0, np.intp)], [np.empty(0)]
+        for start in range(0, flat.size, _BLOCK):
+            lane, t = self._invert(flat[start:start + _BLOCK],
+                                   r[start:start + _BLOCK])
+            lanes.append(lane + start)
+            iterates.append(t)
+        # the stragglers in one pass: more Newton steps from their
+        # iterates, then bisection for any still unresolved
+        lane = np.concatenate(lanes)
+        if lane.size:
+            ub = flat[lane]
             idx = self._cell(ub)
-            coef = self._cells[:4, idx]
-            lo, hi = np.zeros_like(ub), np.ones_like(ub)
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                high = _hermite(coef, mid) > ub
-                lo, hi = np.where(high, lo, mid), np.where(high, mid, hi)
-            r[bad] = self._radius(idx, 0.5 * (lo + hi))
+            *coef, _, floor, _, _, tol = self._cells.take(idx, axis=1)
+            t, bad = _newton(coef, floor, tol, ub, np.concatenate(iterates),
+                             steps=4)
+            if np.any(bad):
+                coef, ub = [c[bad] for c in coef], ub[bad]
+                lo, hi = np.zeros_like(ub), np.ones_like(ub)
+                for _ in range(60):
+                    mid = 0.5 * (lo + hi)
+                    high = _hermite(coef, mid) > ub
+                    lo, hi = np.where(high, lo, mid), np.where(high, mid, hi)
+                t[bad] = 0.5 * (lo + hi)
+            r[lane] = self._radius(idx, t)
         return float(r[0]) if np.ndim(u) == 0 else r.reshape(u_arr.shape)
 
     def _cell(self, u: np.ndarray) -> np.ndarray:
@@ -199,20 +232,20 @@ class RadialCdfTable:
             lane = lane[self._upper[idx[lane]] <= u[lane]]
         return idx
 
-    def _invert(self, u: np.ndarray) -> tuple:
-        """Radii of a 1-d block of levels, and the levels left unresolved."""
+    def _invert(self, u: np.ndarray, out: np.ndarray) -> tuple:
+        """Write the radii of a 1-d block of levels to ``out``; return the
+        lanes left unresolved and their iterates."""
         idx = self._cell(u)
-        *coef, mass, floor = self._cells.take(idx, axis=1)
-        # clamped Newton in the cell from its secant (t = 1 in a flat last
-        # cell, u = 1); the secant floors the slope in near-flat cells
-        t = np.clip(np.divide(u - coef[0], mass, out=np.ones_like(u),
-                              where=mass > 0.0), 0.0, 1.0)
-        for _ in range(4):
-            value, slope = _hermite(coef, t, slope=True)
-            t -= (value - u) / np.maximum(slope, floor)
-            np.clip(t, 0.0, 1.0, out=t)
-        bad = np.abs(_hermite(coef, t) - u) > 1e-12 + 1e-9 * mass
-        return self._radius(idx, t), bad
+        *coef, mass, floor, p, q, tol = self._cells.take(idx, axis=1)
+        # the seed, at w = 1 in a flat last cell (u = 1)
+        w = np.divide(u - coef[0], mass, out=np.ones_like(u),
+                      where=mass > 0.0)
+        t = (p + q * w) * (1.0 - w) + 1.0
+        t *= w
+        t, bad = _newton(coef, floor, tol, u, t, steps=1)
+        out[:] = self._radius(idx, t)
+        lane = np.flatnonzero(bad)
+        return lane, t[lane]
 
     def _radius(self, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
         # exact knots at t = 0 and t = 1, unlike knots[idx] + t h

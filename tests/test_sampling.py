@@ -242,3 +242,120 @@ def test_annular_samples_avoid_the_origin():
     r = np.linalg.norm(x, axis=1)
     assert np.sum(r < 0.3) <= 3
     assert abs(np.median(r) - 1.0) < 0.05
+
+
+def _cell_root(table, u):
+    """Cell of each level and the cell cubic's root in it, by 200
+    bisection steps in t, as a radius."""
+    idx = np.clip(np.searchsorted(table.cdf_values, u, side="right") - 1,
+                  0, table.knots.size - 2)
+    coef = table._cells[:4, idx]
+    lo, hi = np.zeros_like(u), np.ones_like(u)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        high = sampling._hermite(coef, mid) > u
+        lo, hi = np.where(high, lo, mid), np.where(high, mid, hi)
+    t = 0.5 * (lo + hi)
+    return idx, (1.0 - t) * table.knots[idx] + t * table.knots[idx + 1]
+
+
+def _cell_tolerance(table, idx):
+    """The inversion's residual tolerance in each cell: 1e-9 of its mass
+    plus 4 ulp of its upper CDF."""
+    c = table.cdf_values
+    return 1e-9 * (c[idx + 1] - c[idx]) + 4.0 * np.spacing(c[idx + 1])
+
+
+@pytest.mark.parametrize("params", [
+    core.RadialParams(*shape) for shape in SHAPES] + THIN_RINGS, ids=str)
+def test_tail_quantiles_are_the_cell_root(params):
+    # the log-spaced edge cells carry 1e-17 to 1e-4 of the mass; a level
+    # in them must come out as the root of its cell's cubic, not as any
+    # iterate whose residual is below an absolute floor
+    table = sampling.build_radial_table(params)
+    decades = 10.0 ** -np.arange(5.0, 16.0)
+    for u, upper in ((decades, False), (1.0 - decades, True)):
+        idx, want = _cell_root(table, u)
+        bound = 1e-9 * want
+        if upper:
+            # near 1 the CDF's own rounding (ulp(1) = 2.2e-16) hides the
+            # root inside an interval of width ~ tolerance / density
+            h = table.knots[idx + 1] - table.knots[idx]
+            t = (want - table.knots[idx]) / h
+            _, slope = sampling._hermite(table._cells[:4, idx], t,
+                                         slope=True)
+            bound = bound + 2.0 * _cell_tolerance(table, idx) * h / slope
+        np.testing.assert_array_less(
+            np.abs(table.inverse_cdf(u) - want), bound)
+
+
+@pytest.mark.parametrize("params", [
+    core.RadialParams(*shape) for shape in SHAPES] + THIN_RINGS, ids=str)
+def test_inverse_cdf_meets_the_cell_tolerance(params):
+    # 1e6 uniforms plus the levels where a cell-wise seed is weakest:
+    # every knot CDF and its one-ulp neighbours, and every guide edge
+    table = sampling.build_radial_table(params)
+    c, m = table.cdf_values, sampling._GUIDE
+    u = np.sort(np.clip(np.concatenate(
+        ([0.0, 1.0], c, np.nextafter(c, -1.0), np.nextafter(c, 2.0),
+         np.arange(m + 1) / m,
+         np.random.default_rng(params.dim + 100).random(1_000_000))),
+        0.0, 1.0))
+    r = table.inverse_cdf(u)
+    # non-decreasing up to the rounding of r: levels one ulp apart may
+    # land a rounding step out of order
+    assert np.all(np.diff(r) >= -np.spacing(r[1:]))
+    assert r[0] == 0.0 and r[-1] == table.r_max
+    # the residual through the level's own cell cubic, allowing for the
+    # rounding of r: one ulp from the knot-to-knot interpolation that makes
+    # it and one from the t recovered here
+    idx = np.clip(np.searchsorted(c, u, side="right") - 1,
+                  0, table.knots.size - 2)
+    h = table.knots[idx + 1] - table.knots[idx]
+    t = (r - table.knots[idx]) / h
+    value, slope = sampling._hermite(table._cells[:4, idx], t, slope=True)
+    allowed = _cell_tolerance(table, idx) + 2.0 * slope / h * np.spacing(r)
+    np.testing.assert_array_less(np.abs(value - u), allowed)
+
+
+@pytest.mark.parametrize("r", [math.nan, np.array([0.5, math.nan])])
+def test_table_cdf_rejects_nan(r):
+    table = sampling.build_radial_table(core.RadialParams(3, 4.0, 1.5))
+    with pytest.raises(DomainError):
+        table.cdf(r)
+
+
+def test_table_cdf_clamps_infinities():
+    table = sampling.build_radial_table(core.RadialParams(3, 4.0, 1.5))
+    assert table.cdf(-math.inf) == 0.0
+    assert table.cdf(math.inf) == 1.0
+    np.testing.assert_array_equal(table.cdf(np.array([-np.inf, np.inf])),
+                                  [0.0, 1.0])
+
+
+def test_flat_last_cell_inverts_one_to_r_max():
+    # a table whose CDF reaches 1 a knot early: u = 1 lands in a cell of
+    # no mass and must still give the end of the table
+    built = sampling.build_radial_table(core.RadialParams(3, 4.0, 1.5))
+    cdf = built.cdf_values.copy()
+    cdf[-2] = 1.0
+    table = sampling.RadialCdfTable(
+        params=built.params, knots=built.knots.copy(), cdf_values=cdf,
+        pdf_values=built.pdf_values.copy(), r_max=built.r_max,
+        log_norm=built.log_norm)
+    assert table.inverse_cdf(1.0) == table.r_max
+    np.testing.assert_array_equal(table.inverse_cdf(np.ones(3)),
+                                  table.r_max)
+
+
+def test_stragglers_fall_back_to_bisection(monkeypatch):
+    # with Newton stalled, every level is a straggler and the compact
+    # pass's bisection alone must find each cell's root
+    table = sampling.build_radial_table(core.RadialParams(4, -1.0, 0.25))
+    u = np.concatenate((np.random.default_rng(4).random(20000),
+                        10.0 ** -np.arange(5.0, 16.0)))
+    _, want = _cell_root(table, u)
+    monkeypatch.setattr(sampling, "_newton",
+                        lambda coef, floor, tol, u, t, steps:
+                        (t, np.ones(u.shape, dtype=bool)))
+    np.testing.assert_allclose(table.inverse_cdf(u), want, rtol=1e-12)
