@@ -238,34 +238,50 @@ def _log_z_pcf(dim: int, l1: float, l2: float) -> float:
             + d.mantissa_log)
 
 
-@lru_cache(maxsize=512)
-def _log_z_quadrature(dim: int, l1: float, l2: float) -> float:
-    power = 0.5 * dim - 1.0
-    if dim >= 3:
-        # peak of the whole exponent power ln y + l1 y - l2 y^2, at the
-        # positive root of 2 l2 y^2 - l1 y - power in cancellation-free form
+def _about_peak(power: float, l1: float, l2: float) -> tuple:
+    """power ln y + l1 y - l2 y^2 about its peak y* > 0 (of l1 y - l2 y^2
+    if power <= 0; y* = 0 if none): y*, shift, a and c such that at y = y* s
+    it is shift + power ln s + (s - 1)(c - a (s - 1)), a form that cancels
+    no terms of size l1 y (their rounding is ~1e-8 at alpha ~ 1e8)."""
+    if power > 0.0:
+        # the positive root of 2 l2 y^2 - l1 y - power, cancellation-free
         disc = math.sqrt(l1 * l1 + 8.0 * l2 * power)
         peak = ((l1 + disc) / (4.0 * l2) if l1 > 0
                 else 2.0 * power / (disc - l1))
-        shift = power * math.log(peak) + l1 * peak - l2 * peak * peak
     else:
-        # peak of l1 y - l2 y^2 over y >= 0 (y^(-1/2) at D = 1 has none)
         peak = 0.5 * l1 / l2 if l1 > 0 else 0.0
-        shift = l1 * l1 / (4.0 * l2) if l1 > 0 else 0.0
     a = l2 * peak * peak
-    if power + 2.0 * a > 4.0:
+    shift = power * math.log(peak) + l1 * peak - a if peak > 0 else 0.0
+    return peak, shift, a, l1 * peak - 2.0 * a
+
+
+@lru_cache(maxsize=512)
+def _log_z_quadrature(dim: int, l1: float, l2: float) -> float:
+    power = 0.5 * dim - 1.0
+    peak, shift, a, c = _about_peak(power, l1, l2)
+    if a > 40.0:
+        # s = z**w, w = 1 / sqrt(power + 2 a), makes the peak O(1) wide in
+        # z, where tanh-sinh's coarse levels resolve it at any contrast.
+        # Only where the s -> 0 end holds no mass (e**-a < 1e-17): below,
+        # z**(w (power + 1) - 1) is near-singular at D = 1
+        w = 1.0 / math.sqrt(power + 2.0 * a)
+        scale = peak * w
+
+        def integrand(z):
+            lz = np.log(z)
+            e = np.expm1(w * lz)
+            return np.exp((w * (power + 1.0) - 1.0) * lz + e * (c - a * e))
+    elif power + 2.0 * a > 4.0:
         # y = peak * s puts a peak narrower than half its distance from 0
-        # (Laplace width peak / sqrt(power + 2 l2 peak^2)) on the rule's
-        # centre node s = 1, where even the coarsest level sees it; written
-        # about s = 1, the exponent does not cancel terms of size l1 y whose
-        # rounding alone stalls the rule on thin rings (alpha ~ 1e8)
-        scale, shift = peak, power * math.log(peak) + l1 * peak - a
-        c = l1 * peak - 2.0 * a
+        # on the rule's centre node s = 1, where every level sees it
+        scale = peak
 
         def integrand(s):
             return np.exp(power * np.log(s) + (s - 1.0) * (c - a * (s - 1.0)))
     else:
         scale = 1.0
+        if dim < 3:  # the peak of l1 y - l2 y^2 alone, so no value moves
+            shift = l1 * l1 / (4.0 * l2) if l1 > 0 else 0.0
 
         def integrand(y):
             return np.exp(power * np.log(y) + l1 * y - l2 * y * y - shift)

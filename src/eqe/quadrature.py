@@ -9,6 +9,8 @@ by halving the step; previously evaluated nodes are reused, the result is
 a pure function of the integrand and tolerances, and the error estimate
 is the standard last-level difference.  Integrable endpoint singularities
 up to y**(-1/2) are absorbed by the double-exponential weight decay.
+The nodes and weights of levels 0-10 (about 300 KB) are built once and
+kept read-only; deeper levels, which no log Z reaches, are built per call.
 
 gauss_legendre_panels is a fixed 24-point Gauss-Legendre rule on panels
 the caller places around a smooth, already located peak: the integral
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -31,7 +34,19 @@ _HALF_PI = 0.5 * math.pi
 _BASE_STEP = 0.5
 _T_MAX = 4.8
 _MAX_LEVEL = 16
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+_CACHED_LEVEL = 10
+# numpy.polynomial.legendre.leggauss(24), frozen (it is symmetric bit for
+# bit), so that no process imports numpy.polynomial and its LAPACK call
+_GL_HALF = np.array([float.fromhex(v) for v in """
+1.0660853eda2e8p-4 1.8769542b94f8dp-3 1.429a8c588e910p-2 1.bc345d81e24b5p-2
+1.17417bac4d72bp-1 1.4bd2ee5fa1086p-1 1.7af18edb9ddd6p-1 1.a3d74ce0d3700p-1
+1.c5d841864d0f5p-1 1.e06585a70aa4dp-1 1.f30f9f0cbf876p-1 1.fd892de691982p-1
+1.060475e763731p-3 1.01b7117cf8bd6p-3 1.f25cbce1d1fefp-4 1.d91c78acb1b27p-4
+1.b8177ba4a68d7p-4 1.8fd8936444b19p-4 1.6108ef5044635p-4 1.2c6d5c2eff05ap-4
+1.e5c6255d25e9dp-5 1.6ab884f57c940p-5 1.d375514486effp-6 1.9465bd311255dp-7
+""".split()]).reshape(2, 12)
+_GL_NODES = np.concatenate((-_GL_HALF[0, ::-1], _GL_HALF[0]))
+_GL_WEIGHTS = np.concatenate((_GL_HALF[1, ::-1], _GL_HALF[1]))
 
 
 @dataclass(frozen=True)
@@ -54,6 +69,22 @@ def _evaluate(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:
     return y
 
 
+@lru_cache(maxsize=None)
+def _level_nodes(level: int) -> tuple:
+    """Read-only nodes y of a tanh-sinh level (at level 0 the centre node 1
+    last) and the weights (pi/2) cosh(t) y of their halves y > 1, y < 1."""
+    h = _BASE_STEP / 2 ** level
+    # positive abscissas new at this level; t = 0 is added at level 0
+    t = h * np.arange(1, math.floor(_T_MAX / h) + 1,
+                      1 if level == 0 else 2)
+    u, coshs = _HALF_PI * np.sinh(t), _HALF_PI * np.cosh(t)
+    y = np.exp(np.concatenate((u, -u, [0.0] if level == 0 else [])))
+    nodes = y, coshs * y[:t.size], coshs * y[t.size:2 * t.size]
+    for arr in nodes:
+        arr.flags.writeable = False
+    return nodes
+
+
 def integrate_semi_infinite(f: Callable[[float], float], *,
                             target_rel_tol: float = 1e-10,
                             target_abs_tol: float = 0.0,
@@ -73,16 +104,12 @@ def integrate_semi_infinite(f: Callable[[float], float], *,
     diff = math.inf
     for level in range(_MAX_LEVEL + 1):
         h = _BASE_STEP / 2 ** level
-        # positive abscissas new at this level; t = 0 is added at level 0
-        t = h * np.arange(1, math.floor(_T_MAX / h) + 1,
-                          1 if level == 0 else 2)
-        u = _HALF_PI * np.sinh(t)
-        coshs = _HALF_PI * np.cosh(t)
-        # y_hi, y_lo and, at level 0, the centre node y = 1
-        y = np.exp(np.concatenate((u, -u, [0.0] if level == 0 else [])))
+        # the levels past _CACHED_LEVEL, which no log Z reaches, are not kept
+        y, w_hi, w_lo = (_level_nodes(level) if level <= _CACHED_LEVEL
+                         else _level_nodes.__wrapped__(level))
         fy = _evaluate(f, y)
-        k = t.size
-        terms = coshs * y[:k] * fy[:k] + coshs * y[k:2 * k] * fy[k:2 * k]
+        k = w_hi.size
+        terms = w_hi * fy[:k] + w_lo * fy[k:2 * k]
         if level == 0:
             terms = np.append(terms, _HALF_PI * fy[-1])
         n = y.size
@@ -107,11 +134,10 @@ def integrate_semi_infinite(f: Callable[[float], float], *,
 
 
 def gauss_legendre_panels(log_f: Callable[[np.ndarray], np.ndarray],
-                          lo: np.ndarray, hi: np.ndarray,
-                          shift: float) -> np.ndarray:
-    """Integral of exp(log_f(x) - shift) over each panel [lo_i, hi_i], by
-    the 24-point Gauss-Legendre rule."""
+                          lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Integral of exp(log_f(x)) over each panel [lo_i, hi_i], by the
+    24-point Gauss-Legendre rule."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    return (np.exp(log_f(nodes) - shift) @ _GL_WEIGHTS) * half
+    return (np.exp(log_f(nodes)) @ _GL_WEIGHTS) * half

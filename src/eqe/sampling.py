@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,40 +68,44 @@ def _as_rng(gen) -> np.random.Generator:
         f"numpy Generator, got {type(gen)!r}")
 
 
-def _log_radial_profile(p: core.RadialParams, r: np.ndarray) -> np.ndarray:
-    """(D-1) ln r + lambda1 r^2 - lambda2 r^4, elementwise; -inf at r=0
-    for D >= 2."""
-    r = np.asarray(r, dtype=float)
-    quad_part = p.lambda1 * r * r - p.lambda2 * r ** 4
-    if p.dim == 1:
-        return quad_part
-    with np.errstate(divide="ignore"):
-        return (p.dim - 1) * np.log(r) + quad_part
+def _radial_profile(p: core.RadialParams) -> tuple:
+    """g(r) = (D-1) ln r + lambda1 r^2 - lambda2 r^4 about its peak: the
+    peak radius r* (0 only for D = 1), g and -g'' there, and g less its
+    peak value as a function of r (-inf at 0 for D >= 2).  That is
+    core._about_peak's form with s - 1 = t / y*, y* = r*^2: power ln s +
+    t (c - lambda2 t), t = r^2 - y*, power = (D-1)/2 and c = lambda1 -
+    2 lambda2 y*; it needs no y*^2, which underflows when D = 1 and
+    lambda1 is tiny."""
+    power, l1, l2 = 0.5 * (p.dim - 1), p.lambda1, p.lambda2
+    y_peak, shift, a, _ = core._about_peak(power, l1, l2)
+    r_peak = math.sqrt(y_peak)
+    # c exactly (int division rounds correctly): its rounding would move a
+    # ring of alpha 1e8 by ~1e-12 of its width and its CDF by ~1e-13
+    (n1, d1), (ny, dy), (n2, d2) = (
+        v.as_integer_ratio() for v in (l1, y_peak, l2))
+    c = (n1 * d2 * dy - 2 * n2 * ny * d1) / (d1 * d2 * dy)
+
+    def log_f(r):
+        t = r * r - y_peak
+        with np.errstate(divide="ignore"):
+            log_term = 2.0 * power * np.log(r / r_peak) if power else 0.0
+        return log_term + t * (c - l2 * t)
+    curvature = 4.0 * (power + 2.0 * a) / y_peak if y_peak else -2.0 * l1
+    return r_peak, shift, curvature, log_f
 
 
-def _profile_peak(p: core.RadialParams) -> tuple[float, float]:
-    """Radius maximizing the radial density (0 only for D = 1) and the
-    curvature -g'' of the log profile g there."""
-    l1, l2, d = p.lambda1, p.lambda2, p.dim
-    if d == 1 and l1 <= 0:
-        return 0.0, -2.0 * l1
-    disc = math.sqrt(l1 * l1 + 4.0 * l2 * (d - 1))
-    # the root of 4 l2 r^4 - 2 l1 r^2 - (D-1) in its cancellation-free form
-    r_sq = (l1 + disc) / (4.0 * l2) if l1 > 0 else (d - 1) / (disc - l1)
-    return math.sqrt(r_sq), 4.0 * disc
-
-
-def _tail_cutoff(p: core.RadialParams, log_norm: float,
-                r_peak: float) -> float:
-    """Radius beyond which the remaining mass is below _TAIL_MASS.
+def _tail_cutoff(p: core.RadialParams, log_f, log_mass: float,
+                 r_peak: float) -> float:
+    """Radius beyond which the remaining mass of exp(log_f) is below
+    _TAIL_MASS of exp(log_mass), its integral.
 
     Uses the bound integral_r^inf e^g <= e^g(r) / |g'(r)|, valid once g
     is decreasing and concave, which holds past the peak.
     """
-    target = log_norm + math.log(_TAIL_MASS) - 2.0
+    target = log_mass + math.log(_TAIL_MASS) - 2.0
     r = r_peak + max(1.0, 0.5 / p.lambda2 ** 0.25)
     for _ in range(300):
-        g = float(_log_radial_profile(p, r))
+        g = float(log_f(r))
         slope = abs((p.dim - 1) / r + 2.0 * p.lambda1 * r
                     - 4.0 * p.lambda2 * r ** 3)
         if g - math.log(max(slope, 1e-300)) <= target:
@@ -268,9 +272,8 @@ def build_radial_table(params: core.Params) -> RadialCdfTable:
     p = params.radial
     log_norm = (core.log_norm_const(p)
                 - core.log_sphere_surface_area(p.dim - 1))
-    r_peak, curvature = _profile_peak(p)
-    shift = float(_log_radial_profile(p, r_peak)) if r_peak > 0 else 0.0
-    r_max = _tail_cutoff(p, log_norm, r_peak)
+    r_peak, shift, curvature, log_f = _radial_profile(p)
+    r_max = _tail_cutoff(p, log_f, log_norm - shift, r_peak)
 
     # a uniform grid, refined over +-40 Laplace widths of the peak so that
     # thin rings are resolved too
@@ -279,9 +282,8 @@ def build_radial_table(params: core.Params) -> RadialCdfTable:
         np.linspace(0.0, r_max, _PILOT_PANELS + 1),
         np.linspace(max(r_peak - half, 0.0), min(r_peak + half, r_max),
                     _PILOT_PANELS + 1))))
-    log_f = partial(_log_radial_profile, p)
     pilot_cum = np.concatenate(([0.0], np.cumsum(
-        gauss_legendre_panels(log_f, pilot[:-1], pilot[1:], shift))))
+        gauss_legendre_panels(log_f, pilot[:-1], pilot[1:]))))
     total = pilot_cum[-1]
     # both log masses carry rounding of a few ulps of their size
     resid = abs(shift + math.log(total) - log_norm)
@@ -305,13 +307,10 @@ def build_radial_table(params: core.Params) -> RadialCdfTable:
     # the pilot's mass up to each knot's cell plus one panel to the knot
     cell = np.minimum(np.searchsorted(pilot, knots, side="right") - 1,
                       pilot.size - 2)
-    cum = pilot_cum[cell] + gauss_legendre_panels(log_f, pilot[cell], knots,
-                                                  shift)
+    cum = pilot_cum[cell] + gauss_legendre_panels(log_f, pilot[cell], knots)
     cdf = np.minimum(cum / total, 1.0)
     cdf[-1] = 1.0
-    pdf = np.exp(_log_radial_profile(p, knots) - shift) / total
-    if p.dim >= 2:
-        pdf[0] = 0.0
+    pdf = np.exp(log_f(knots)) / total
     return RadialCdfTable(params=p, knots=knots, cdf_values=cdf,
                           pdf_values=pdf, r_max=r_max, log_norm=log_norm)
 

@@ -326,8 +326,8 @@ def _pcf_integral(nu: float, z: float) -> ScaledValue:
         raise ConvergenceError(f"integral for D_{nu}({z}) has an unbounded "
                                "left tail")
     boundaries = np.array(left[::-1] + edges[1:])
-    total = float(np.sum(gauss_legendre_panels(phi, boundaries[:-1],
-                                               boundaries[1:], phi_star)))
+    total = float(np.sum(gauss_legendre_panels(
+        lambda u: phi(u) - phi_star, boundaries[:-1], boundaries[1:])))
     return ScaledValue(phi_star + math.log(total) - math.lgamma(-nu), 1)
 
 

@@ -386,6 +386,14 @@ def test_start_up_imports_no_scipy():
     assert _fresh_interpreter_stdout(code) == "[]"
 
 
+def test_start_up_imports_no_numpy_polynomial():
+    # numpy.polynomial costs about 1.7 MB and 4 ms of every cold command;
+    # the quadrature module's Gauss-Legendre rule is frozen instead
+    code = ("import sys, eqe, eqe.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith('numpy.polynomial')))")
+    assert _fresh_interpreter_stdout(code) == "[]"
+
+
 def test_first_table_build_imports_no_numpy_ma():
     # numpy.ma costs about 15 ms of every cold `eqe sample`; some numpy set
     # routines load it lazily

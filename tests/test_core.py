@@ -162,7 +162,7 @@ def test_log_norm_const_routes_agree(dim, l1, l2, log_ref):
 
 @pytest.mark.parametrize("alpha", [1e2, 1e6, 1e8])
 @pytest.mark.parametrize("radius", [0.5, 2.0])
-@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 10])
 def test_log_norm_const_routes_agree_on_thin_rings(dim, radius, alpha):
     """A thin ring at R != 1 puts the quadrature route's narrow peak far
     from y = 1, which its coarse levels miss unless the peak sits on a
@@ -172,6 +172,37 @@ def test_log_norm_const_routes_agree_on_thin_rings(dim, radius, alpha):
     b = core.log_norm_const(p, "quadrature")
     # log Z ~ alpha / 2 carries rounding of a few ulps by either route
     np.testing.assert_allclose(b, a, rtol=2e-15, atol=1e-11)
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("alpha", [1e2, 1e4, 1e6, 1e8])
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 10])
+def test_quadrature_log_z_is_cheap_on_rings(monkeypatch, dim, alpha, radius):
+    """Scaled by its Laplace width, a ring's peak is resolved by
+    tanh-sinh's coarse levels at any contrast."""
+    spent = []
+
+    def counted(f, **kw):
+        res = integrate(f, **kw)
+        spent.append(res.evaluations)
+        return res
+
+    integrate = quadrature.integrate_semi_infinite
+    monkeypatch.setattr(quadrature, "integrate_semi_infinite", counted)
+    p = core.ring_to_radial(core.RingParams(dim, alpha, radius))
+    core._log_z_quadrature.__wrapped__(p.dim, p.lambda1, p.lambda2)
+    assert len(spent) == 1 and spent[0] <= 1000
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("alpha", [10.0, 30.0])
+def test_d1_rings_below_the_width_map_agree_with_pcf(alpha, radius):
+    """At D = 1 the width-mapped integrand is near-singular at z = 0, so
+    rings whose s -> 0 end still holds mass keep the s-form."""
+    p = core.ring_to_radial(core.RingParams(1, alpha, radius))
+    np.testing.assert_allclose(core.log_norm_const(p, "quadrature"),
+                               core.log_norm_const(p, "pcf"),
+                               rtol=1e-13, atol=1e-13)
 
 
 def test_quadrature_log_z_rejects_nonpositive_integral(monkeypatch):

@@ -139,3 +139,37 @@ def test_oscillatory_integrand_converges_with_budget():
         lambda y: math.exp(-y) * math.sin(50.0 * y) ** 2)
     np.testing.assert_allclose(res.value, 0.5 * (1.0 - 1.0 / 10001.0),
                                rtol=1e-10)
+
+
+def test_gauss_legendre_rule_is_leggauss_24():
+    # the frozen rule spares every process numpy.polynomial and its LAPACK
+    # call; it must be leggauss(24) bit for bit
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    np.testing.assert_array_equal(quadrature._GL_NODES, nodes)
+    np.testing.assert_array_equal(quadrature._GL_WEIGHTS, weights)
+
+
+@pytest.mark.parametrize("level", [0, 1, 5, 10])
+def test_level_nodes_are_read_only_and_exact(level):
+    """Each cached level's nodes and weights equal a fresh computation of
+    y = exp(pi/2 sinh t) and (pi/2) cosh(t) y."""
+    h = 0.5 / 2 ** level
+    t = h * np.arange(1, math.floor(4.8 / h) + 1, 1 if level == 0 else 2)
+    u, coshs = 0.5 * math.pi * np.sinh(t), 0.5 * math.pi * np.cosh(t)
+    y = np.exp(np.concatenate((u, -u, [0.0] if level == 0 else [])))
+    k = t.size
+    got = quadrature._level_nodes(level)
+    for a, b in zip(got, (y, coshs * y[:k], coshs * y[k:2 * k])):
+        np.testing.assert_array_equal(a, b)
+        assert not a.flags.writeable
+    assert quadrature._level_nodes(level) is got
+
+
+def test_only_the_coarse_levels_are_kept():
+    # a peak off the rule's centre drives the rule to level 15; levels past
+    # 10 are built per call and dropped
+    res = quadrature.integrate_semi_infinite(
+        lambda y: np.exp(-((y - 50.0) / 1e-2) ** 2))
+    np.testing.assert_allclose(res.value, 1e-2 * math.sqrt(math.pi),
+                               rtol=1e-10)
+    assert quadrature._level_nodes.cache_info().currsize <= 11

@@ -62,7 +62,9 @@ THIN_RINGS = [core.ring_to_radial(core.RingParams(2, 1e4, 1.0)),
 
 
 @pytest.mark.parametrize("dim,l1,l2", SHAPES + [
-    (p.dim, p.lambda1, p.lambda2) for p in THIN_RINGS[:1]])
+    (p.dim, p.lambda1, p.lambda2) for p in THIN_RINGS[:1]] + [
+    # a peak so near the origin that lambda2 y*^2 underflows
+    (1, 1e-200, 1.0)])
 def test_table_cdf_properties(dim, l1, l2):
     table = sampling.build_radial_table(core.RadialParams(dim, l1, l2))
     assert table.cdf(0.0) == 0.0
@@ -359,3 +361,45 @@ def test_stragglers_fall_back_to_bisection(monkeypatch):
                         lambda coef, floor, tol, u, t, steps:
                         (t, np.ones(u.shape, dtype=bool)))
     np.testing.assert_allclose(table.inverse_cdf(u), want, rtol=1e-12)
+
+
+def _reference_knot_cdf(p, knots):
+    """CDF of the radial law at the knots, in 80-bit arithmetic: 24-point
+    Gauss-Legendre on 16 panels per knot cell (2^15 in all), and panels
+    halving towards the ring in the two edge cells, whose mass sits within
+    a few ring widths of one end.  The exponent is written about its peak,
+    so that no terms of size alpha cancel."""
+    ld = np.longdouble
+    x, w = (v.astype(ld) for v in np.polynomial.legendre.leggauss(24))
+    power, l1, l2 = ld(p.dim - 1) / 2, ld(p.lambda1), ld(p.lambda2)
+    peak = (l1 + np.sqrt(l1 * l1 + 8 * l2 * power)) / (4 * l2)
+    a = l2 * peak * peak
+    c = l1 * peak - 2 * a
+    k = knots.astype(ld)
+    halving = ld(2) ** -np.arange(1, 64)
+    edges = np.unique(np.concatenate((
+        (k[:-1, None] + np.diff(k)[:, None]
+         * (np.arange(16, dtype=ld) / 16)).ravel(), k[-1:],
+        k[1] - (k[1] - k[0]) * halving, k[-2] + (k[-1] - k[-2]) * halving)))
+    half, mid = np.diff(edges) / 2, (edges[1:] + edges[:-1]) / 2
+    y = (mid[:, None] + half[:, None] * x) ** 2
+    s1 = y / peak - 1
+    with np.errstate(divide="ignore"):
+        f = np.exp(power * np.log(y / peak) + s1 * (c - a * s1))
+    cum = np.concatenate(([ld(0)], np.cumsum((f @ w) * half)))
+    cum = cum[np.searchsorted(edges, k)]
+    return cum / cum[-1]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="the reference needs an 80-bit long double")
+@pytest.mark.parametrize("ring", [core.RingParams(3, 1e8, 1.0),
+                                  core.RingParams(2, 1e8, 1.3),
+                                  core.RingParams(5, 1e6, 0.7),
+                                  core.RingParams(1, 1e8, 1.0)], ids=str)
+def test_thin_ring_knot_cdfs_match_a_reference(ring):
+    """The log profile is written about its peak, so the rounding of terms
+    of size alpha / 2 does not reach the knot CDFs."""
+    table = sampling.build_radial_table(core.ring_to_radial(ring))
+    want = _reference_knot_cdf(table.params, table.knots)
+    assert np.max(np.abs(table.cdf_values - want.astype(float))) <= 1e-13
