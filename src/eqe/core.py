@@ -61,10 +61,6 @@ class RadialParams:
     def radial(self) -> RadialParams:
         return self
 
-    @property
-    def is_annular(self) -> bool:
-        return self.lambda1 > 0
-
 
 @dataclass(frozen=True)
 class RingParams:
@@ -228,14 +224,9 @@ def _log_z_pcf(dim: int, l1: float, l2: float) -> float:
     # exactly, so use the compensated e**(z**2/4) D_nu(z) and skip both
     # terms rather than subtracting two huge floats.
     z = -l1 / math.sqrt(2.0 * l2)
-    d = specfun.pcf_d_scaled(-0.5 * dim, z)
-    if d.sign != 1:
-        raise ConvergenceError(
-            f"parabolic cylinder function returned a nonpositive value for "
-            f"dim={dim}, lambda1={l1}, lambda2={l2}")
     return (log_sphere_surface_area(dim - 1) - _LN_2
             + math.lgamma(0.5 * dim) - 0.25 * dim * math.log(2.0 * l2)
-            + d.mantissa_log)
+            + specfun.pcf_d_scaled(-0.5 * dim, z))
 
 
 def _about_peak(power: float, l1: float, l2: float) -> tuple:
@@ -366,9 +357,8 @@ def log_norm_const_d1_neg(lambda1: float, lambda2: float) -> float:
     w = lambda1 * lambda1 / (8.0 * lambda2)
     # e**w K_{1/4}(w) as one compensated value; forming e**w and K
     # separately would overflow and lose the cancellation at large w.
-    k = specfun.bessel_k_quarter_scaled(w)
     return (-_LN_2 + 0.5 * (math.log(-lambda1) - math.log(lambda2))
-            + k.mantissa_log)
+            + specfun.bessel_k_quarter_scaled(w))
 
 
 def radial_moment(params: Params, k: int, method: Method = "auto") -> float:
@@ -495,18 +485,6 @@ class EllipticalGammaReference(_ShapeMatrix):
         # inf - inf once q overflows with power > 0; the exponential wins
         out = np.where(np.isnan(out), -np.inf, out)
         return float(out) if np.ndim(q) == 0 else out
-
-    def moment_r2(self) -> float:
-        return self.a * self.b
-
-    def moment_r4(self) -> float:
-        return self.a * (self.a + 1.0) * self.b * self.b
-
-    def mode_radius_sq(self) -> float | None:
-        """b (a - D/2) when the density peaks off-center, else None."""
-        if self.a <= 0.5 * self.dim:
-            return None
-        return self.b * (self.a - 0.5 * self.dim)
 
     def entropy(self) -> float:
         """Differential entropy; E[ln q] is integrated numerically."""

@@ -107,17 +107,16 @@ def integrate_semi_infinite(f: Callable[[float], float], *,
         # the levels past _CACHED_LEVEL, which no log Z reaches, are not kept
         y, w_hi, w_lo = (_level_nodes(level) if level <= _CACHED_LEVEL
                          else _level_nodes.__wrapped__(level))
+        if evals + y.size > max_evaluations:
+            raise ConvergenceError(
+                "quadrature evaluation budget exhausted",
+                best_estimate=QuadResult(value, diff, evals), work=evals)
+        evals += y.size
         fy = _evaluate(f, y)
         k = w_hi.size
         terms = w_hi * fy[:k] + w_lo * fy[k:2 * k]
         if level == 0:
             terms = np.append(terms, _HALF_PI * fy[-1])
-        n = y.size
-        if evals + n > max_evaluations:
-            raise ConvergenceError(
-                "quadrature evaluation budget exhausted",
-                best_estimate=QuadResult(value, diff, evals), work=evals)
-        evals += n
         running += float(np.sum(terms))
         value = h * running
         if level >= 1:

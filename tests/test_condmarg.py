@@ -189,8 +189,8 @@ def test_peak_constant_is_the_zero_of_d_half():
     # D_{1/2}(z) = z D_{-1/2}(z) + D_{-3/2}(z) / 2 (DLMF 12.8.1); the
     # scaled values share the positive factor e**(z**2/4)
     def d_half(z):
-        return (z * specfun.pcf_d_scaled(-0.5, z).to_float()
-                + 0.5 * specfun.pcf_d_scaled(-1.5, z).to_float())
+        return (z * math.exp(specfun.pcf_d_scaled(-0.5, z))
+                + 0.5 * math.exp(specfun.pcf_d_scaled(-1.5, z)))
 
     assert d_half(condmarg._Z0 - 1e-9) < 0.0 < d_half(condmarg._Z0 + 1e-9)
 

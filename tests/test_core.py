@@ -59,9 +59,10 @@ EG_ENTROPY_REFERENCE = [
 def test_radial_params_basic():
     p = core.RadialParams(3, 4.0, 1.5)
     assert p.dim == 3
-    assert p.is_annular
-    assert not core.RadialParams(3, -4.0, 1.5).is_annular
-    assert not core.RadialParams(3, 0.0, 1.5).is_annular
+    # annular exactly when lambda1 > 0: the mode leaves the origin
+    assert core.mode_radius(p) > 0.0
+    assert core.mode_radius(core.RadialParams(3, -4.0, 1.5)) == 0.0
+    assert core.mode_radius(core.RadialParams(3, 0.0, 1.5)) == 0.0
 
 
 @pytest.mark.parametrize("dim,l1,l2", [
@@ -469,8 +470,10 @@ def test_log_density_rejects_nonfinite_points(bad):
 def test_eg_reference_from_moments_matches_targets():
     mom = core.MomentPair(1.3, 2.2)
     eg = core.eg_reference_from_moments(np.eye(3), mom)
-    np.testing.assert_allclose(eg.moment_r2(), 1.3, rtol=1e-12)
-    np.testing.assert_allclose(eg.moment_r4(), 2.2, rtol=1e-12)
+    # E[q] = a b and E[q**2] = a (a + 1) b**2 under q ~ Gamma(a, b)
+    np.testing.assert_allclose(eg.a * eg.b, 1.3, rtol=1e-12)
+    np.testing.assert_allclose(eg.a * (eg.a + 1.0) * eg.b ** 2, 2.2,
+                               rtol=1e-12)
     # a and b from the two-moment match
     np.testing.assert_allclose(eg.a, 1.3 ** 2 / (2.2 - 1.3 ** 2), rtol=1e-12)
     np.testing.assert_allclose(eg.b, (2.2 - 1.3 ** 2) / 1.3, rtol=1e-12)
@@ -498,7 +501,7 @@ def test_eg_sampling_moments():
     x = eg.sample(40000, np.random.default_rng(99))
     assert x.shape == (40000, 3)
     q = np.sum(x * x, axis=1)
-    np.testing.assert_allclose(np.mean(q), eg.moment_r2(), rtol=0.02)
+    np.testing.assert_allclose(np.mean(q), eg.a * eg.b, rtol=0.02)
 
 
 @pytest.mark.parametrize("n", [True, False, 0, -3, 2.5, "10", None])

@@ -133,6 +133,31 @@ def test_budget_exhaustion_reports_best_estimate():
     assert err.work is not None and 0 < err.work <= 40
 
 
+@pytest.mark.parametrize("budget", [40, 5000, 10 ** 5])
+def test_reported_work_is_the_real_work(budget):
+    """The integrand is called at most ``budget`` times, and exactly as
+    often as the result or the error reports, converged or not."""
+    calls = []
+
+    def counted(f):
+        def g(y):
+            calls.append(np.size(y))
+            return f(y)
+        return g
+
+    def off_centre_peak(y):
+        return np.exp(-((y - 50.0) / 1e-2) ** 2)
+
+    for f in (_damped_oscillation, off_centre_peak):
+        calls.clear()
+        try:
+            work = quadrature.integrate_semi_infinite(
+                counted(f), max_evaluations=budget).evaluations
+        except ConvergenceError as err:
+            work = err.work
+        assert sum(calls) == work <= budget
+
+
 def test_oscillatory_integrand_converges_with_budget():
     # int_0^inf e^-y sin(50y)^2 dy = (1 - 1/10001) / 2
     res = quadrature.integrate_semi_infinite(
