@@ -354,7 +354,7 @@ def _selfcheck_checks():
     n = 20000
     for seed, (d, l1, l2) in ((11, (3, 4.0, 1.5)), (12, (2, 8.0, 4.0))):
         p = core.RadialParams(d, l1, l2)
-        table = sampling.build_radial_table(p)
+        table = sampling._cached_table(p)  # the table sample draws from
         x = sampling.sample(p, n, sampling.SeededGenerator(seed))
         u = np.sort(table.cdf(np.linalg.norm(x, axis=1)))
         k = np.arange(n)

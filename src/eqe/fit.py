@@ -5,8 +5,12 @@ Mahalanobis form), the quartic exponential is the entropy maximizer, so
 fitting is a smooth two-variable convex problem in the natural parameters
 eta = (lambda1, -lambda2): minimize log Z - eta . (c2, c4).  The gradient
 is the moment mismatch and the Hessian is the covariance of (q, q**2),
-obtained from moments up to order eight, so a damped Newton iteration
-converges quadratically from a moment-matched starting point.
+so a damped Newton iteration converges quadratically from a
+moment-matched starting point.  Each step reads the moments and that
+covariance from one moments pass (core._moments), the covariance in
+central moments: formed from raw moments up to order eight, its
+determinant would be ~1e-16 alpha**2 off relative on a ring of contrast
+alpha.
 
 Feasibility: as lambda2 -> 0 the family degenerates to a Gaussian in q,
 where c4/c2**2 -> (D+2)/D.  Ratios at or beyond that boundary admit no
@@ -102,10 +106,10 @@ def fit_moments(dim: int, moments: core.MomentPair, *,
     for iterations in range(1, max_iterations + 1):
         lam2 = math.exp(v[1])
         p = core.RadialParams(dim, v[0], lam2)
-        m2, m4, m6, m8 = (core.radial_moment(p, k, "pcf")
-                          for k in (2, 4, 6, 8))
+        (m2, m4, _, _), (y, g11, g12, g22, _) = core._moments(
+            dim, p.lambda1, p.lambda2)
         mismatch = np.array([m2 - c2, m4 - c4])
-        residual = (abs(mismatch[0]) / c2, abs(mismatch[1]) / c4)
+        residual = (float(abs(mismatch[0]) / c2), float(abs(mismatch[1]) / c4))
         trace.append({"iteration": iterations, "lambda1": p.lambda1,
                       "lambda2": p.lambda2, "objective": f_val,
                       "residual": max(residual)})
@@ -113,9 +117,8 @@ def fit_moments(dim: int, moments: core.MomentPair, *,
             converged = True
             break
         grad = np.array([mismatch[0], -lam2 * mismatch[1]])
-        h11 = m4 - m2 * m2
-        h12 = m6 - m2 * m4
-        h22 = m8 - m4 * m4
+        y2 = y * y
+        h11, h12, h22 = y2 * g11, y2 * y * g12, y2 * y2 * g22
         # Exact Hessian in (lambda1, log lambda2): the Gauss-Newton part
         # J' H J plus the chain-rule term d(lambda2)/d(log lambda2)**2
         # contribution grad[1] in the corner.  The extra term is O(lambda2)
@@ -229,13 +232,18 @@ def parameter_standard_errors(params: core.RadialParams,
 
     The moment-matching estimator satisfies
     cov(eta_hat) ~= H**-1 / n with H the covariance of (q, q**2), by the
-    delta method applied to eta(c) with deta/dc = H**-1.
+    delta method applied to eta(c) with deta/dc = H**-1; ConvergenceError
+    where H is not finite and positive definite at double precision.
     """
     if n < 2:
         raise DomainError(f"n must be at least 2, got {n}")
-    m2, m4, m6, m8 = (core.radial_moment(params, k, "pcf")
-                      for k in (2, 4, 6, 8))
-    hess = np.array([[m4 - m2 * m2, m6 - m2 * m4],
-                     [m6 - m2 * m4, m8 - m4 * m4]])
-    inv = np.linalg.inv(hess)
-    return (math.sqrt(inv[0, 0] / n), math.sqrt(inv[1, 1] / n))
+    _, (y, g11, _, g22, schur) = core._moments(params.dim, params.lambda1,
+                                               params.lambda2)
+    if not (g11 > 0.0 and schur > 0.0 and math.isfinite(g11 + g22 + schur)):
+        raise ConvergenceError(
+            f"moment covariance of {params} is not positive definite at "
+            "double precision, so the standard errors are undefined")
+    # H = diag(y, y**2) g diag(y, y**2), and g**-1 = [[g22 / g11, .],
+    # [., 1]] / schur
+    return (math.sqrt(g22 / g11 / schur / n) / y,
+            1.0 / (y * y * math.sqrt(schur * n)))

@@ -133,10 +133,19 @@ def integrate_semi_infinite(f: Callable[[float], float], *,
 
 
 def gauss_legendre_panels(log_f: Callable[[np.ndarray], np.ndarray],
-                          lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+                          lo: np.ndarray, hi: np.ndarray, g=None,
+                          order: int = 0) -> np.ndarray:
     """Integral of exp(log_f(x)) over each panel [lo_i, hi_i], by the
-    24-point Gauss-Legendre rule."""
+    24-point Gauss-Legendre rule; given g, the integrals of exp(log_f(x))
+    g(x)**i, i = 0..order, over all the panels together."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    return (np.exp(log_f(nodes)) @ _GL_WEIGHTS) * half
+    f = np.exp(log_f(nodes))
+    if g is None:
+        return (f @ _GL_WEIGHTS) * half
+    rows, gx = np.empty((order + 1, *f.shape)), g(nodes)
+    rows[0] = f
+    for i in range(order):
+        np.multiply(rows[i], gx, out=rows[i + 1])
+    return (rows @ _GL_WEIGHTS) @ half

@@ -24,6 +24,7 @@ tanh-sinh oracle the closed forms are checked against.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,6 +55,14 @@ def _two_prod(x: float, y: float) -> tuple:
     return p, (err if math.isfinite(err) else 0.0)
 
 
+def _check_args(nu: float, z: float) -> None:
+    if not -1e305 < nu <= 0.0:  # below, log Gamma(-nu) overflows
+        raise DomainError(
+            f"pcf_d implemented for -1e305 < nu <= 0 only, got nu={nu}")
+    if not (math.isfinite(z) and z > -1e154):  # below, z**2 overflows
+        raise DomainError(f"pcf_d requires a finite z > -1e154, got z={z}")
+
+
 def pcf_d_scaled(nu: float, z: float) -> float:
     """log(e**(z**2/4) D_nu(z)), the compensated parabolic cylinder
     function, for -1e305 < nu <= 0 and finite z > -1e154 (beyond either
@@ -79,14 +88,49 @@ def pcf_d_scaled(nu: float, z: float) -> float:
     closed form.  Panels 4 sigma wide (at most 1.5) cover the peak from
     the right end, and panels that double in width cover the span left.
     """
-    if not -1e305 < nu <= 0.0:  # below, log Gamma(-nu) overflows
-        raise DomainError(
-            f"pcf_d implemented for -1e305 < nu <= 0 only, got nu={nu}")
-    if not (math.isfinite(z) and z > -1e154):  # below, z**2 overflows
-        raise DomainError(f"pcf_d requires a finite z > -1e154, got z={z}")
+    _check_args(nu, z)
     if nu == 0:
         return 0.0
     a = -nu
+    u_star, t_star, log_f, edges, log_tail = _panels(a, z)
+    total = float(gauss_legendre_panels(log_f, edges[1:], edges[:-1]).sum())
+    if not (math.isfinite(total) and total > 0.0):
+        raise ConvergenceError(
+            f"integral for D_{nu}({z}) came out as {total}")
+    log_total = math.log(total)
+    if log_tail is not None:
+        log_total = max(log_total, log_tail) + math.log1p(
+            math.exp(-abs(log_total - log_tail)))
+    # the peak's exponent a u* - t*^2 / 2 - z t*, rounded once
+    return math.fsum((*_two_prod(a, u_star), *_two_prod(-0.5 * t_star, t_star),
+                      *_two_prod(-z, t_star), log_total, -math.lgamma(a)))
+
+
+def pcf_moment_sums(nu: float, z: float) -> tuple:
+    """t* and E[E**i], i = 1..4, for E = t / t* - 1 under pcf_d_scaled's
+    integrand, -1e305 < nu < 0, on its nodes; I_j / I_0 = t***j E[(1 +
+    E)**j] for I_j the integral of t**(j-nu-1) e**(-t**2/2 - z t).  Where
+    the panels end the integrand falls as e**(-(t* E)**2 / 2) or
+    e**(-a E / 2), far faster than E**4 grows."""
+    _check_args(nu, z)
+    _, t_star, log_f, edges, log_tail = _panels(-nu, z)
+    sums = gauss_legendre_panels(log_f, edges[1:], edges[:-1], np.expm1,
+                                 4).tolist()
+    if log_tail is not None:  # there E = -1 to within 1e-17
+        tail = math.exp(log_tail)
+        sums = [s + (-tail if i % 2 else tail) for i, s in enumerate(sums)]
+    if not (sums[0] > 0.0 and math.isfinite(sum(sums))):
+        raise ConvergenceError(
+            f"moment integrals of D_{nu}({z}) came out as {sums}")
+    return t_star, [s / sums[0] for s in sums[1:]]
+
+
+@lru_cache(maxsize=64)
+def _panels(a: float, z: float) -> tuple:
+    """u*, t*, the order-a integrand's log about its peak as a function of
+    d = u - u*, the descending panel edges in d (read-only), and the log of
+    the closed-form tail left of the last edge (None if there is none).
+    Kept for the moments pass, which follows log Z's on the same law."""
     # sqrt(z**2 + 4 a), and t*, free of overflow and cancellation
     r = math.hypot(z, 2.0 * math.sqrt(a))
     u_star = (math.log(0.5 * r - 0.5 * z) if z <= 0.0
@@ -128,26 +172,17 @@ def pcf_d_scaled(nu: float, z: float) -> float:
         width *= 2.0
         edges.append(edges[-1] - width)
     edges[-1] = left
-    edges = np.array(edges)
     k = math.sqrt(0.5) * t_star
 
     def log_f(d):
         e = np.expm1(d)
         return (d - e) * a - (k * e) ** 2
 
-    total = float(gauss_legendre_panels(log_f, edges[1:], edges[:-1]).sum())
-    if not (math.isfinite(total) and total > 0.0):
-        raise ConvergenceError(
-            f"integral for D_{nu}({z}) came out as {total}")
-    log_total = math.log(total)
-    if closed_tail:
-        # log of the integral of e**(a d + a - t*^2 / 2) over d < left
-        log_tail = a * (left + 1.0) - k * k - math.log(a)
-        log_total = max(log_total, log_tail) + math.log1p(
-            math.exp(-abs(log_total - log_tail)))
-    # the peak's exponent a u* - t*^2 / 2 - z t*, rounded once
-    return math.fsum((*_two_prod(a, u_star), *_two_prod(-0.5 * t_star, t_star),
-                      *_two_prod(-z, t_star), log_total, -math.lgamma(a)))
+    # log of the integral of e**(a d + a - t*^2 / 2) over d < left
+    log_tail = a * (left + 1.0) - k * k - math.log(a) if closed_tail else None
+    edges = np.array(edges)
+    edges.flags.writeable = False
+    return u_star, t_star, log_f, edges, log_tail
 
 
 def _bessel_i_series(order: float, x: float) -> float:

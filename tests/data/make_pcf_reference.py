@@ -1,8 +1,13 @@
-"""Frozen references for specfun.pcf_d_scaled: log(e**(z**2/4) D_nu(z)).
+"""Frozen references for specfun.pcf_d_scaled, log(e**(z**2/4) D_nu(z)),
+and for the radial moments and entropies built on it.
 
 Writes pcf_reference.json next to this script.  The values come from
 mpmath's pcfd at 40 digits, each checked against a 50-digit evaluation,
-and are rounded to double once.  The file records this script's sha256,
+and are rounded to double once.  Moments are E[q**j], j = 1..4, of the law
+with D = -2 nu, lambda1 = -z and lambda2 = 1/2 (any other lambda2 follows
+by scaling q): Gamma(D/2 + j) / Gamma(D/2) D_{nu-j}(z) / D_nu(z).
+Entropies and parameter_standard_errors (at n = 1) are those of rings of
+radius 1, lambda1 = alpha and lambda2 = alpha / 2.  The file records this script's sha256,
 so a stale file is caught without recomputing it.
 
     python tests/data/make_pcf_reference.py          # regenerate (mpmath)
@@ -34,33 +39,98 @@ Z_GRID = [
 _rng = random.Random(20221010)
 DRAWS = [(-0.5 * _rng.randint(1, 12), _rng.uniform(-40.0, 40.0))
          for _ in range(120)]
+# moments on the rings of Z_GRID, the seeded box laws of DRAWS and
+# near-Gaussian laws (lambda2 -> 0 at lambda1 < 0, so z -> +inf)
+MOMENT_ARGS = [(-0.5 * d, z) for d in range(1, 13)
+               for z in Z_GRID[-7:] + [10.0, 35.0, 100.0, 1e3, 1e4]] + DRAWS
+RING_ALPHAS = [10.0 ** k for k in range(4, 9)]
+SE_RINGS = [(d, 10.0 ** k) for d in (1, 2, 3, 5, 10) for k in (4, 6, 8)]
 
 
 def script_sha256() -> str:
     return hashlib.sha256(Path(__file__).read_bytes()).hexdigest()
 
 
+def _pcfd(nu, z):
+    import mpmath
+    try:
+        return mpmath.pcfd(nu, z)
+    except ValueError:  # hypercomb's default precision cap
+        return mpmath.pcfd(nu, z, maxprec=8000)
+
+
 def reference(nu: float, z: float, dps: int):
     import mpmath
     with mpmath.workdps(dps):
-        x, y = mpmath.mpf(nu), mpmath.mpf(z)
-        try:
-            d = mpmath.pcfd(x, y)
-        except ValueError:  # hypercomb's default precision cap
-            d = mpmath.pcfd(x, y, maxprec=8000)
-        return y * y / 4 + mpmath.log(d)
+        y = mpmath.mpf(z)
+        return y * y / 4 + mpmath.log(_pcfd(mpmath.mpf(nu), y))
+
+
+def moments(nu: float, z: float, dps: int) -> list:
+    import mpmath
+    with mpmath.workdps(dps):
+        a, y = -mpmath.mpf(nu), mpmath.mpf(z)
+        d0 = _pcfd(-a, y)
+        return [mpmath.gamma(a + j) / mpmath.gamma(a) * _pcfd(-a - j, y) / d0
+                for j in range(1, 5)]
+
+
+def ring_entropy(dim: int, alpha: float, dps: int):
+    """lambda2 E[q**2] - lambda1 E[q] + log Z at lambda1 = alpha,
+    lambda2 = alpha / 2, where z = -lambda1 / sqrt(2 lambda2)."""
+    import mpmath
+    with mpmath.workdps(dps):
+        l1, l2 = mpmath.mpf(alpha), mpmath.mpf(alpha) / 2
+        s = mpmath.sqrt(2 * l2)
+        z = -l1 / s
+        m1, m2 = (m / s ** j for j, m in enumerate(
+            moments(-dim / 2, z, dps)[:2], 1))
+        log_z = (dim * mpmath.log(mpmath.pi) / 2 - dim * mpmath.log(2 * l2) / 4
+                 + z * z / 4 + mpmath.log(_pcfd(-mpmath.mpf(dim) / 2, z)))
+        return l2 * m2 - l1 * m1 + log_z
+
+
+def standard_errors(dim: int, alpha: float, dps: int) -> list:
+    """sqrt of the diagonal of H**-1, H the covariance of (q, q**2); its
+    determinant cancels ~2 log10(alpha) digits, so 40 more are carried."""
+    import mpmath
+    with mpmath.workdps(dps + 40):
+        l1, l2 = mpmath.mpf(alpha), mpmath.mpf(alpha) / 2
+        s = mpmath.sqrt(2 * l2)
+        m = [m / s ** j for j, m in enumerate(
+            moments(-dim / 2, -l1 / s, dps + 40), 1)]
+        h11, h12, h22 = m[1] - m[0] ** 2, m[2] - m[0] * m[1], m[3] - m[1] ** 2
+        det = h11 * h22 - h12 * h12
+        return [mpmath.sqrt(h22 / det), mpmath.sqrt(h11 / det)]
+
+
+def _checked(f, *args):
+    v, w = f(*args, 40), f(*args, 50)
+    for x, y in zip(v, w) if isinstance(v, list) else [(v, w)]:
+        if abs(x - y) > 1e-30 * max(1, abs(y)):
+            raise SystemExit(f"40 and 50 digits disagree at {args}")
+    return [float(x) for x in v] if isinstance(v, list) else float(v)
 
 
 def generate() -> dict:
-    points = []
-    for nu, z in [(nu, z) for nu in NUS for z in Z_GRID] + DRAWS:
-        v, w = reference(nu, z, 40), reference(nu, z, 50)
-        if abs(v - w) > 1e-30 * max(1, abs(w)):
-            raise SystemExit(f"40 and 50 digits disagree at ({nu}, {z})")
-        points.append([nu, z, float(v)])
+    points = [[nu, z, _checked(reference, nu, z)]
+              for nu, z in [(nu, z) for nu in NUS for z in Z_GRID] + DRAWS]
+    moment_points = [[nu, z, *_checked(moments, nu, z)]
+                     for nu, z in MOMENT_ARGS]
+    entropy_points = [[d, al, al / 2, _checked(ring_entropy, d, al)]
+                      for d in range(1, 13) for al in RING_ALPHAS]
+    se_points = [[d, al, al / 2, *_checked(standard_errors, d, al)]
+                 for d, al in SE_RINGS]
     return {"script_sha256": script_sha256(), "digits": 40,
             "value": "log(exp(z**2/4) D_nu(z))",
-            "columns": ["nu", "z", "log_value"], "points": points}
+            "columns": ["nu", "z", "log_value"],
+            "moment_columns": ["nu", "z", "E[q]", "E[q^2]", "E[q^3]",
+                               "E[q^4]"],
+            "entropy_columns": ["dim", "lambda1", "lambda2", "entropy"],
+            "se_columns": ["dim", "lambda1", "lambda2", "se_lambda1",
+                           "se_lambda2"],
+            "points": points, "moment_points": moment_points,
+            "entropy_points": entropy_points, "se_points": se_points}
 
 
 def main() -> int:
@@ -74,8 +144,11 @@ def main() -> int:
             return 1
         return 0
     doc = generate()
-    rows = ",\n".join(json.dumps(row) for row in doc.pop("points"))
-    OUT.write_text(json.dumps(doc)[:-1] + ', "points": [\n' + rows + "\n]}\n")
+    tables = [(key, doc.pop(key)) for key in
+              ("points", "moment_points", "entropy_points", "se_points")]
+    OUT.write_text(json.dumps(doc)[:-1] + "".join(
+        f', "{key}": [\n' + ",\n".join(json.dumps(r) for r in rows) + "\n]"
+        for key, rows in tables) + "}\n")
     return 0
 
 

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import eqe
-from eqe import cli, core
+from eqe import cli, core, fit, sampling
 
 
 @pytest.fixture
@@ -234,6 +234,42 @@ def test_fit_round_trip_through_files(runner, ring_file, tmp_path):
     assert res.exit_code == 0
 
 
+def _ring_draws(runner, ring_file, tmp_path):
+    draws = tmp_path / "draws.csv"
+    res = runner.invoke(cli.main, ["sample", "--params", ring_file, "--n",
+                                   "5000", "--seed", "3", "--out", str(draws)])
+    assert res.exit_code == 0
+    return str(draws)
+
+
+def test_fit_with_undefined_standard_errors_exits_3(runner, ring_file,
+                                                   tmp_path, monkeypatch):
+    draws = _ring_draws(runner, ring_file, tmp_path)
+    moments = core._moments.__wrapped__
+
+    def singular(*args):  # the covariance's Schur complement rounds to 0
+        raw, cov = moments(*args)
+        return raw, (*cov[:4], 0.0)
+
+    monkeypatch.setattr(core, "_moments", singular)
+    res = runner.invoke(cli.main, ["fit", "--input", draws,
+                                   "--model", "spherical"])
+    assert res.exit_code == 3
+    assert "standard errors are undefined" in res.output
+
+
+def test_fit_stopped_at_its_iteration_cap_reports_json(runner, ring_file,
+                                                      tmp_path, monkeypatch):
+    draws = _ring_draws(runner, ring_file, tmp_path)
+    capped = fit.fit_moments
+    monkeypatch.setattr(fit, "fit_moments", lambda dim, mom: capped(
+        dim, mom, max_iterations=1))
+    res = runner.invoke(cli.main, ["fit", "--input", draws,
+                                   "--model", "spherical"])
+    assert res.exit_code == 0
+    assert json.loads(res.stdout)["fit_report"]["converged"] is False
+
+
 def test_fit_accepts_headerless_csv(runner, tmp_path):
     rng = np.random.default_rng(5)
     path = tmp_path / "plain.csv"
@@ -359,6 +395,16 @@ def test_selfcheck_passes(runner):
     assert {"d1_closed_form", "d2_closed_form"} <= names
     assert "sampler_ks" in names
     assert all(c["passed"] for c in doc["checks"])
+
+
+def test_selfcheck_builds_each_sampler_table_once(monkeypatch):
+    built = []
+    build = sampling.build_radial_table
+    monkeypatch.setattr(sampling, "build_radial_table",
+                        lambda p: built.append(p) or build(p))
+    sampling._cached_table.cache_clear()
+    cli._selfcheck_checks()
+    assert len(built) == len(set(built)) == 2
 
 
 def test_selfcheck_failure_exits_5(runner):

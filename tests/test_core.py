@@ -1,11 +1,17 @@
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eqe import core, quadrature
+from eqe import core, fit, quadrature, specfun
 from eqe.errors import ConvergenceError, DomainError
+
+# 40-digit references written by tests/data/make_pcf_reference.py
+CORPUS = json.loads(
+    (Path(__file__).parent / "data" / "pcf_reference.json").read_text())
 
 # Normalization constants, radial moments and entropies below were
 # computed with 40-digit arbitrary precision quadrature against the
@@ -295,6 +301,80 @@ def test_elliptical_log_norm_adds_half_log_det():
 def test_radial_moment_reference(dim, l1, l2, k, ref):
     got = core.radial_moment(core.RadialParams(dim, l1, l2), k)
     np.testing.assert_allclose(got, ref, rtol=1e-12)
+
+
+def test_moment_corpus():
+    """E[q**j], j = 1..4, within 1e-13 relative of the 40-digit references
+    on rings to alpha 1e8, seeded box laws and near-Gaussian laws (each
+    at lambda1 = -z, lambda2 = 1/2)."""
+    rows = CORPUS["moment_points"]
+    got = np.array([[core.radial_moment(
+        core.RadialParams(round(-2.0 * nu), -z, 0.5), k)
+        for k in (2, 4, 6, 8)] for nu, z, *_ in rows])
+    err = np.abs(got / np.array([r[2:] for r in rows]) - 1.0).max(axis=1)
+    worst = int(np.argmax(err))
+    assert err[worst] <= 1e-13, (rows[worst], got[worst])
+
+
+@pytest.mark.filterwarnings("error")
+def test_ring_entropy_corpus():
+    """Entropies of rings of radius 1, alpha 1e4-1e8 and D 1-12, within
+    1e-7 nats of the 40-digit references: lambda2 E[q**2], lambda1 E[q]
+    and log Z are each ~alpha there."""
+    err = [abs(core.entropy(core.RadialParams(d, l1, l2)) - h)
+           for d, l1, l2, h in CORPUS["entropy_points"]]
+    assert max(err) <= 1e-7
+
+
+def test_moments_and_entropy_take_one_moments_pass(monkeypatch):
+    passes, pcf_calls = [], []
+    real, real_pcf = specfun.pcf_moment_sums, specfun.pcf_d_scaled
+    monkeypatch.setattr(specfun, "pcf_moment_sums",
+                        lambda nu, z: passes.append(z) or real(nu, z))
+    monkeypatch.setattr(specfun, "pcf_d_scaled",
+                        lambda nu, z: pcf_calls.append(nu) or real_pcf(nu, z))
+    core._moments.cache_clear()
+    core._log_z_pcf.cache_clear()
+    p = core.RadialParams(4, 2.5, 0.75)
+    core.entropy(p)
+    for k in (2, 4, 6, 8):
+        core.radial_moment(p, k, "pcf")
+    fit.parameter_standard_errors(p, 100)
+    # one moments pass, and log Z's own pass at order -D/2 only: no
+    # normalization constant of a lifted dimension
+    assert len(passes) == 1 and pcf_calls == [-2.0]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dim,l1,l2", [(3, 1e300, 1e-300),
+                                       (3, -1e300, 1e-300),
+                                       (1, 1e200, 1e-200)])
+def test_moments_beyond_the_pcf_domain_raise_domain_error(dim, l1, l2):
+    """z = -l1 / sqrt(2 l2) overflows or passes -1e154, where z**2 does."""
+    p = core.RadialParams(dim, l1, l2)
+    for call in (lambda: core.radial_moment(p, 2), lambda: core.entropy(p),
+                 lambda: fit.parameter_standard_errors(p, 10)):
+        with pytest.raises(DomainError):
+            call()
+
+
+def test_radial_moment_falls_back_to_lifted_quadrature(monkeypatch):
+    p = core.RadialParams(3, 4.0, 1.5)
+    expected = [core.radial_moment(p, k, "pcf") for k in (2, 4, 6, 8)]
+
+    def failing(nu, z):
+        raise ConvergenceError("moment integrals came out as nan")
+
+    monkeypatch.setattr(specfun, "pcf_moment_sums", failing)
+    core._moments.cache_clear()
+    with pytest.raises(ConvergenceError):
+        core.radial_moment(p, 2, "pcf")
+    for method in ("auto", "quadrature"):
+        got = [core.radial_moment(p, k, method) for k in (2, 4, 6, 8)]
+        np.testing.assert_allclose(got, expected, rtol=1e-9)
+    with pytest.raises(DomainError):
+        core.radial_moment(p, 2, "lifted")
+    core._moments.cache_clear()
 
 
 def test_radial_moment_rejects_odd_order():

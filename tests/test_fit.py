@@ -1,10 +1,16 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from eqe import core, fit, sampling
-from eqe.errors import DomainError, InfeasibleMomentsError
+from eqe.errors import ConvergenceError, DomainError, InfeasibleMomentsError
+
+# 40-digit references written by tests/data/make_pcf_reference.py
+CORPUS = json.loads(
+    (Path(__file__).parent / "data" / "pcf_reference.json").read_text())
 
 
 def test_gaussian_moment_ratio():
@@ -178,3 +184,33 @@ def test_standard_errors_validate_n():
     p = core.RadialParams(3, 4.0, 1.5)
     with pytest.raises(DomainError):
         fit.parameter_standard_errors(p, 0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dim,lambda1,lambda2,se1,se2", CORPUS["se_points"])
+def test_standard_errors_on_thin_rings(dim, lambda1, lambda2, se1, se2):
+    """Rings of radius 1, D in {1, 2, 3, 5, 10} and alpha 1e4-1e8: the
+    covariance of (q, q**2) is singular to ~1/alpha**2 there, yet the
+    standard errors match the references (given at n = 1)."""
+    got = fit.parameter_standard_errors(
+        core.RadialParams(dim, lambda1, lambda2), 100)
+    np.testing.assert_allclose(got, [se1 / 10.0, se2 / 10.0], rtol=1e-12)
+
+
+@pytest.mark.parametrize("schur", [0.0, -1e-30, math.nan, math.inf])
+def test_standard_errors_of_a_singular_covariance_raise(monkeypatch, schur):
+    p = core.RadialParams(3, 4.0, 1.5)
+    raw, (y, g11, g12, g22, _) = core._moments(3, 4.0, 1.5)
+    monkeypatch.setattr(core, "_moments",
+                        lambda *args: (raw, (y, g11, g12, g22, schur)))
+    with pytest.raises(ConvergenceError, match="not positive definite"):
+        fit.parameter_standard_errors(p, 100)
+
+
+def test_report_at_the_iteration_cap_holds_plain_floats():
+    p = core.RadialParams(3, 4.0, 1.5)
+    m2, m4 = core.radial_moment(p, 2), core.radial_moment(p, 4)
+    report = fit.fit_moments(3, core.MomentPair(m2, 1.01 * m4),
+                             max_iterations=1)
+    assert type(report.converged) is bool and not report.converged
+    assert all(type(r) is float for r in report.residual)

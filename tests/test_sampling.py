@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eqe import core, sampling
-from eqe.errors import DomainError
+from eqe.errors import ConvergenceError, DomainError
 
 SHAPES = [
     (1, -3.0, 0.5),
@@ -403,3 +403,28 @@ def test_thin_ring_knot_cdfs_match_a_reference(ring):
     table = sampling.build_radial_table(core.ring_to_radial(ring))
     want = _reference_knot_cdf(table.params, table.knots)
     assert np.max(np.abs(table.cdf_values - want.astype(float))) <= 1e-13
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("lambda1", [-1e200, -1e300])
+def test_table_where_lambda1_squared_overflows(dim, lambda1):
+    """lambda1**2 overflows, yet the peak of y**(D/2-1) e**(lambda1 y) is
+    representable: the law is Gaussian to within lambda2 / lambda1**2, so
+    -lambda1 q is Gamma(D/2, 1).  A typed error would be allowed too."""
+    p = core.RadialParams(dim, lambda1, 1.0)
+    try:
+        sampling.build_radial_table(p)
+    except (ConvergenceError, DomainError):
+        return
+    n = 20000
+    x = sampling.sample(p, n, sampling.SeededGenerator(9))
+    g = np.sort(-lambda1 * np.einsum("ij,ij->i", x, x))
+    if dim == 2:
+        cdf = -np.expm1(-g)
+    else:
+        cdf = (np.array([math.erf(v) for v in np.sqrt(g)])
+               - 2.0 * np.sqrt(g / math.pi) * np.exp(-g))
+    k = np.arange(n)
+    d_ks = float(np.max(np.maximum(cdf - k / n, (k + 1) / n - cdf)))
+    assert d_ks * math.sqrt(n) <= 1.63  # the 1 % level
