@@ -394,3 +394,7 @@ def cmd_selfcheck(inject_failure):
     _emit_json({"passed": all_ok, "checks": report})
     if not all_ok:
         raise SelfCheckFailure("one or more selfcheck items failed")
+
+
+if __name__ == "__main__":
+    main()

@@ -27,6 +27,7 @@ from .errors import ConvergenceError, DomainError
 
 _LN_2 = math.log(2.0)
 _LN_PI = math.log(math.pi)
+_BLOCK = 8192  # rows per pass of the row-wise maps, which stay in cache
 
 Method = Literal["pcf", "quadrature", "auto"]
 
@@ -114,12 +115,42 @@ def _cholesky(sigma: np.ndarray) -> np.ndarray:
         raise DomainError("sigma must be positive definite") from None
 
 
-def _whitened_sq_norms(chol: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Squared norms of chol^-1 x_i over the rows x_i of an (n, dim)
-    batch: the Mahalanobis forms for sigma = chol chol'."""
+def _blocks(n: int) -> list:
+    """Slices of _BLOCK rows covering n rows; a lone last row joins the block
+    before, as BLAS rounds one-row products by another kernel."""
+    starts = list(range(0, n - 1, _BLOCK)) or [0]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def _whitened_sq_norms(chol: np.ndarray, x: np.ndarray,
+                       mu: np.ndarray | float = 0.0) -> np.ndarray:
+    """Squared norms of chol^-1 (x_i - mu) over the rows x_i of an (n, dim)
+    batch, the Mahalanobis forms for sigma = chol chol', by row blocks."""
     # as accurate as a triangular solve for these forms, and far faster
-    v = x @ np.linalg.inv(chol).T
-    return np.einsum("ij,ij->i", v, v)
+    inv_t = np.linalg.inv(chol).T.copy()  # C order: BLAS takes it faster
+    q = np.empty(x.shape[0])
+    shift, v = np.empty((2, min(q.size, _BLOCK + 1), x.shape[1]))
+    for rows in _blocks(q.size):
+        w = v[:rows.stop - rows.start]
+        np.matmul(np.subtract(x[rows], mu, out=shift[:len(w)]), inv_t, out=w)
+        np.einsum("ij,ij->i", w, w, out=q[rows])
+    return q
+
+
+def _draws(rng, r: np.ndarray, dim: int, chol=None, mu=0.0) -> np.ndarray:
+    """Draws mu + chol (r_i v_i / |v_i|), v_i the next r.size * dim normals
+    of rng (chol None: the identity), made block by block in place."""
+    x, buf = np.empty((r.size, dim)), np.empty((min(r.size, _BLOCK + 1), dim))
+    chol_t = None if chol is None else chol.T.copy()  # C order, as above
+    for rows in _blocks(r.size):
+        v = x[rows]
+        rng.standard_normal(out=v)
+        norms = np.sqrt(np.einsum("ij,ij->i", v, v))
+        norms[norms == 0.0] = 1.0
+        v *= (r[rows] / norms)[:, None]
+        if chol is not None:
+            np.add(np.matmul(v, chol_t, out=buf[:len(v)]), mu, out=v)
+    return x
 
 
 class _ShapeMatrix:
@@ -432,12 +463,8 @@ def _sq_norms(params: Params | EllipticalGammaReference,
     if x.ndim != 2 or x.shape[1] != d:
         raise DomainError(f"points must have shape ({d},) or (n, {d}), got "
                           f"{np.asarray(x).shape}")
-    if isinstance(params, RadialParams):
-        q = np.einsum("ij,ij->i", x, x)
-    elif isinstance(params, EllipticalParams):
-        q = _whitened_sq_norms(params._chol, x - params.mu)
-    else:
-        q = _whitened_sq_norms(params._chol, x)
+    q = (np.einsum("ij,ij->i", x, x) if isinstance(params, RadialParams) else
+         _whitened_sq_norms(params._chol, x, getattr(params, "mu", 0.0)))
     # a non-finite point always gives a non-finite q, so x needs a look
     # only then: a finite point may overflow q too (its density is 0)
     if not np.all(np.isfinite(q)) and not np.all(np.isfinite(x)):
@@ -454,11 +481,15 @@ def log_density(params: Params, x: np.ndarray) -> float | np.ndarray:
     p = params.radial
     log_z = log_norm_const(params)
     with np.errstate(over="ignore", invalid="ignore"):
-        q = _sq_norms(params, x)
-        out = p.lambda1 * q - p.lambda2 * q * q - log_z
+        q = np.atleast_1d(_sq_norms(params, x))
+        out = np.empty_like(q)
+        for rows in _blocks(q.size):  # l1 q - l2 q q - log Z, in that order
+            quartic = p.lambda2 * q[rows] * q[rows]
+            np.subtract(p.lambda1 * q[rows], quartic, out=out[rows])
+            out[rows] -= log_z
     # inf - inf once q overflows; lambda2 > 0, so the quartic term wins
-    out = np.where(np.isnan(out), -np.inf, out)
-    return float(out) if np.ndim(q) == 0 else out
+    out[np.isnan(out)] = -np.inf
+    return float(out[0]) if np.ndim(x) == 1 else out
 
 
 def density(params: Params, x: np.ndarray) -> float | np.ndarray:
@@ -538,9 +569,7 @@ class EllipticalGammaReference(_ShapeMatrix):
             raise DomainError(f"gen must be a SeededGenerator or numpy "
                               f"Generator, got {type(gen).__name__}")
         q = rng.gamma(shape=self.a, scale=self.b, size=n)
-        v = rng.standard_normal((n, self.dim))
-        v *= (np.sqrt(q) / np.sqrt(np.einsum("ij,ij->i", v, v)))[:, None]
-        return v @ self._chol.T
+        return _draws(rng, np.sqrt(q), self.dim, self._chol)
 
 
 def eg_reference(sigma: np.ndarray, a: float, b: float

@@ -22,9 +22,9 @@ more steps and, if need be, bisection in one compact pass over all blocks.
 
 A draw takes its radius from the first n uniforms of the stream and its
 direction from the n*D normals after them.  The same seed gives the same
-draws within a version; the arithmetic that scales a direction to its
-radius may change in the last bits between versions (one such change
-moved draws by at most 4 ulps).
+draws within a version; between versions they may move in the last bits
+(4 ulps once; drawing in row blocks kept spherical draws byte-identical
+and moved a single elliptical draw by at most 1 ulp, see the README).
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ _TAIL_MASS = 1e-14
 _PILOT_PANELS = 4096
 _N_KNOTS = 2048
 _GUIDE = 4096  # a power of two: u * _GUIDE and its floor are exact
-_BLOCK = 8192
 
 
 class SeededGenerator:
@@ -201,9 +200,9 @@ class RadialCdfTable:
         flat = u_arr.ravel()
         r = np.empty_like(flat)
         lanes, iterates = [np.empty(0, np.intp)], [np.empty(0)]
-        for start in range(0, flat.size, _BLOCK):
-            lane, t = self._invert(flat[start:start + _BLOCK],
-                                   r[start:start + _BLOCK])
+        for start in range(0, flat.size, core._BLOCK):
+            lane, t = self._invert(flat[start:start + core._BLOCK],
+                                   r[start:start + core._BLOCK])
             lanes.append(lane + start)
             iterates.append(t)
         # the stragglers in one pass: more Newton steps from their
@@ -333,12 +332,6 @@ def sample(params: core.Params, n: int, gen) -> np.ndarray:
     p = params.radial
     table = _cached_table(p)
     r = np.atleast_1d(table.inverse_cdf(rng.random(n)))
-    v = rng.standard_normal((n, p.dim))
-    norms = np.sqrt(np.einsum("ij,ij->i", v, v))
-    norms[norms == 0.0] = 1.0
-    r /= norms
-    v *= r[:, None]
     if isinstance(params, core.EllipticalParams):
-        v = v @ params._chol.T
-        v += params.mu
-    return v
+        return core._draws(rng, r, p.dim, params._chol, params.mu)
+    return core._draws(rng, r, p.dim)

@@ -74,7 +74,10 @@ def pcf_d_scaled(nu: float, z: float) -> float:
     two huge floats whose difference is modest.  Against the 40-digit
     references of tests/data/pcf_reference.json (nu = -D/2 for D 1-12 and
     nu from -1e-12 to -500, z in [-1.5e4, 1.4e5]) the error is at most
-    1e-14 of max(1, |value|); the tests hold it to 1e-13.
+    1e-14 of max(1, |value|); the tests hold it to 1e-13.  As nu -> 0 the
+    value goes to 0 and that error stays absolute, not relative: at (-1e-12,
+    0) it is 6.272e-13 against 6.352e-13, 1.3 % off, which a caller that
+    divides by the log or differentiates it in nu near 0 must allow for.
 
     With a = -nu, t* > 0 solves t**2 + z t = a and the integrand peaks at
     u* = ln t*.  About the peak, with d = u - u* and E = expm1(d), its log

@@ -414,15 +414,29 @@ def test_selfcheck_failure_exits_5(runner):
     assert doc["passed"] is False
 
 
-def _fresh_interpreter_stdout(code):
+def _fresh_interpreter(*args, check=True):
     # a fresh interpreter shows what the code loads (this process has
     # scipy and more from the test suite)
     src = str(pathlib.Path(eqe.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True,
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, check=check,
                           env=dict(os.environ, PYTHONPATH=path))
-    return done.stdout.strip()
+
+
+def _fresh_interpreter_stdout(code):
+    return _fresh_interpreter("-c", code).stdout.strip()
+
+
+def test_module_runs_the_cli(runner):
+    # `python -m eqe.cli` is the CLI where no console script is installed:
+    # the same output and the same exit codes as the entry point
+    args = ["logz", "--dim", "2", "--lambda1", "1", "--lambda2", "1"]
+    done = _fresh_interpreter("-m", "eqe.cli", *args)
+    assert done.stdout == runner.invoke(cli.main, args).stdout
+    assert json.loads(done.stdout)["method"] == "pcf"
+    bad = _fresh_interpreter("-m", "eqe.cli", *args, "--bogus", check=False)
+    assert bad.returncode == 2
 
 
 def test_start_up_imports_no_scipy():

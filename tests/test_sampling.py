@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,6 +235,54 @@ def test_sample_follows_the_documented_stream_layout(p):
     np.testing.assert_array_max_ulp(norms, r, maxulp=4)
     np.testing.assert_array_max_ulp(
         x / norms[:, None], v / np.linalg.norm(v, axis=1)[:, None], maxulp=4)
+
+
+B = core._BLOCK
+ELLIPTICAL = core.EllipticalParams(
+    [0.5, -1.0, 2.0], [[2.0, 0.3, -0.4], [0.3, 1.0, 0.2], [-0.4, 0.2, 1.5]],
+    core.RadialParams(3, 4.0, 1.5))
+
+
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])
+@pytest.mark.parametrize("p", [core.RadialParams(3, 4.0, 1.5), ELLIPTICAL],
+                         ids=["spherical", "elliptical"])
+def test_sample_follows_the_documented_stream_layout_across_blocks(p, n):
+    # the layout holds whatever the rows' split into blocks: n uniforms,
+    # then n * dim normals, scaled to the radii and, for an elliptical
+    # law, mapped through the Cholesky factor and shifted by mu
+    x = sampling.sample(p, n, sampling.SeededGenerator(62))
+    rng = sampling.SeededGenerator(62).rng
+    r = sampling.build_radial_table(p.radial).inverse_cdf(rng.random(n))
+    v = rng.standard_normal((n, p.dim))
+    z = v * (r / np.linalg.norm(v, axis=1))[:, None]
+    if isinstance(p, core.RadialParams):
+        np.testing.assert_array_max_ulp(np.linalg.norm(x, axis=1), r,
+                                        maxulp=4)
+        np.testing.assert_array_max_ulp(x, z, maxulp=4)
+        return
+    expected = z @ p._chol.T + p.mu
+    # a few roundings of the row's largest term
+    reach = np.abs(p._chol).sum(axis=1).max()
+    scale = np.maximum(np.abs(z).max(axis=1) * reach, np.abs(p.mu).max())
+    assert np.all(np.abs(x - expected) <= 8.0 * np.spacing(scale)[:, None])
+
+
+def test_sample_allocates_little_beyond_its_output():
+    # the draws are written in place, block by block; the n-vectors of
+    # uniforms and radii and one row block come on top
+    n, d = 100_000, 10
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(d, d))
+    p = core.EllipticalParams(rng.normal(size=d), a @ a.T + d * np.eye(d),
+                              core.RadialParams(d, 2.0, 0.7))
+    sampling.sample(p, 2, 5)  # the table is cached from here on
+    tracemalloc.start()
+    try:
+        sampling.sample(p, n, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * d * 8
 
 
 def test_annular_samples_avoid_the_origin():
