@@ -1,16 +1,17 @@
 """Maximum entropy parameter fitting from radial moment constraints.
 
 Among all densities with prescribed E[q] = c2 and E[q**2] = c4 (q the
-Mahalanobis form), the quartic exponential is the entropy maximizer, so
-fitting is a smooth two-variable convex problem in the natural parameters
-eta = (lambda1, -lambda2): minimize log Z - eta . (c2, c4).  The gradient
-is the moment mismatch and the Hessian is the covariance of (q, q**2),
-so a damped Newton iteration converges quadratically from a
-moment-matched starting point.  Each step reads the moments and that
-covariance from one moments pass (core._moments), the covariance in
-central moments: formed from raw moments up to order eight, its
-determinant would be ~1e-16 alpha**2 off relative on a ring of contrast
-alpha.
+Mahalanobis form), the quartic exponential is the entropy maximizer, and
+the fit solves the stationarity conditions of its dual.  The scale
+separates out of them: with s = sqrt(2 lambda2), u = s q has density
+proportional to u**(D/2-1) e**(-z u - u**2/2), z = -lambda1 / s, so the
+excess Var q / E[q]**2 depends on z alone, and then s = E[u] / c2.  Newton
+solves log excess(z) = log((c4 - c2**2) / c2**2) in z, reading the excess
+and its slope from the central moments of one specfun.pcf_moment_sums
+pass, which keep their digits on thin rings.  The excess increases in z
+from 0 (rings, ~ z**-2) to 2/D (the Gaussian limit, ~ 2/D - (1 + 2/D) /
+z**2); Newton starts on the nearer asymptote and stays inside a bracket
+of the z evaluated so far.
 
 Feasibility: as lambda2 -> 0 the family degenerates to a Gaussian in q,
 where c4/c2**2 -> (D+2)/D.  Ratios at or beyond that boundary admit no
@@ -25,7 +26,7 @@ from typing import Literal
 
 import numpy as np
 
-from . import core
+from . import core, specfun
 from .errors import ConvergenceError, DomainError, InfeasibleMomentsError
 
 # ratios within this relative distance of the Gaussian boundary are
@@ -33,8 +34,10 @@ from .errors import ConvergenceError, DomainError, InfeasibleMomentsError
 _BOUNDARY_MARGIN = 1e-6
 _NEAR_BAND = 0.02
 
-_RESIDUAL_TARGET = 1e-10
-_CONVERGED_CEILING = 1e-8
+# Newton stops at _RESIDUAL_TARGET, a few ulps of the excess, or where its
+# bracket closes; it reports converged within _CONVERGED_CEILING
+_RESIDUAL_TARGET = 1e-14
+_CONVERGED_CEILING = 1e-12
 
 Feasibility = Literal["interior", "near_boundary"]
 
@@ -67,6 +70,8 @@ def fit_moments(dim: int, moments: core.MomentPair, *,
     if isinstance(dim, bool) or not float(dim).is_integer() or dim < 1:
         raise DomainError(f"dim must be a positive integer, got {dim!r}")
     dim = int(dim)
+    if max_iterations < 1:
+        raise DomainError(f"max_iterations must be >= 1, got {max_iterations}")
     c2, c4 = moments.c2, moments.c4
     ratio = c4 / (c2 * c2)
     bound = gaussian_moment_ratio(dim)
@@ -80,100 +85,41 @@ def fit_moments(dim: int, moments: core.MomentPair, *,
         "near_boundary" if ratio >= bound * (1.0 - _NEAR_BAND)
         else "interior")
 
-    # moment-matched start: lambda2 from the excess, lambda1 re-centering
-    l2 = dim / (2.0 * (c4 - c2 * c2))
-    l1 = 2.0 * l2 * c2
-    target = np.array([c2, c4])
-
-    # Work in (lambda1, log lambda2): positivity disappears, so Newton
-    # steps are never truncated against the boundary (where a plain
-    # f-decrease search can stall at a non-stationary point).  The
-    # pullback Hessian J' H J stays positive definite everywhere and
-    # coincides with the exact Hessian at the optimum, keeping the
-    # terminal convergence quadratic.
-    v = np.array([l1, math.log(l2)])
-
-    def dual(w):
-        e = np.array([w[0], -math.exp(w[1])])
-        return core.log_norm_const(
-            core.RadialParams(dim, e[0], -e[1]), "pcf") - e @ target
-
-    f_val = dual(v)
+    excess = (c4 - c2 * c2) / (c2 * c2)
+    # start on the ring asymptote, at 0, or on the Gaussian one
+    z = (-excess ** -0.5 if excess < 0.5 / dim else 0.0 if excess < 1.5 / dim
+         else math.sqrt((1.0 + 2.0 / dim) / (2.0 / dim - excess)))
+    lo, hi = -math.inf, math.inf
     trace = []
-    residual = (math.inf, math.inf)
-    converged = False
-    iterations = 0
     for iterations in range(1, max_iterations + 1):
-        lam2 = math.exp(v[1])
-        p = core.RadialParams(dim, v[0], lam2)
-        (m2, m4, _, _), (y, g11, g12, g22, _) = core._moments(
-            dim, p.lambda1, p.lambda2)
-        mismatch = np.array([m2 - c2, m4 - c4])
-        residual = (float(abs(mismatch[0]) / c2), float(abs(mismatch[1]) / c4))
-        trace.append({"iteration": iterations, "lambda1": p.lambda1,
-                      "lambda2": p.lambda2, "objective": f_val,
-                      "residual": max(residual)})
+        t_star, (e1, e2, e3, _) = specfun.pcf_moment_sums(-0.5 * dim, z)
+        m1, var = 1.0 + e1, e2 - e1 * e1
+        gap = math.log(var / (m1 * m1) / excess)
+        s = t_star * m1 / c2
+        l1, l2 = -z * s, 0.5 * s * s
+        residual = (abs(t_star * m1 / s / c2 - 1.0), abs(math.expm1(gap)))
+        trace.append({"iteration": iterations, "lambda1": l1,
+                      "lambda2": l2, "residual": max(residual)})
         if max(residual) <= _RESIDUAL_TARGET:
-            converged = True
             break
-        grad = np.array([mismatch[0], -lam2 * mismatch[1]])
-        y2 = y * y
-        h11, h12, h22 = y2 * g11, y2 * y * g12, y2 * y2 * g22
-        # Exact Hessian in (lambda1, log lambda2): the Gauss-Newton part
-        # J' H J plus the chain-rule term d(lambda2)/d(log lambda2)**2
-        # contribution grad[1] in the corner.  The extra term is O(lambda2)
-        # against O(lambda2**2), so dropping it flattens the Hessian near
-        # lambda2 = 0 and Newton stalls there; with it the step turns back
-        # toward the interior.  It can break positive definiteness far from
-        # the solution (the objective is not convex in log coordinates), in
-        # which case the Gauss-Newton part, always covariance-definite,
-        # still gives a descent direction.
-        hess = np.array([[h11, -lam2 * h12],
-                         [-lam2 * h12, lam2 * lam2 * h22 + grad[1]]])
-        det = hess[0, 0] * hess[1, 1] - hess[0, 1] * hess[1, 0]
-        if not (hess[0, 0] > 0 and det > 0):
-            hess[1, 1] = lam2 * lam2 * h22
-            det = hess[0, 0] * hess[1, 1] - hess[0, 1] * hess[1, 0]
-        if not (hess[0, 0] > 0 and det > 0):
-            raise ConvergenceError(
-                f"moment covariance lost positive definiteness at "
-                f"iteration {iterations} (params {p})")
-        step = -np.linalg.solve(hess, grad)
-        # moderate single-step moves in log lambda2; the line search
-        # still guarantees monotone descent
-        if abs(step[1]) > 4.0:
-            step *= 4.0 / abs(step[1])
-        slope = float(grad @ step)
-        if -slope <= 1e-12 * (1.0 + abs(f_val)):
-            # The predicted decrease is below the evaluation noise of the
-            # dual, so a sufficient-decrease test can only reject or accept
-            # a rounded-to-zero move.  The moment residuals still resolve
-            # the remaining error, so take the bare Newton step and let the
-            # residual test decide termination.
-            v = v + step
-            f_val = dual(v)
-            continue
-        t = 1.0
-        while True:
-            f_new = dual(v + t * step)
-            if f_new <= f_val + 1e-4 * t * slope:
-                v = v + t * step
-                f_val = f_new
+        lo, hi = (lo, z) if gap > 0.0 else (z, hi)
+        # d/dz E[f] = -Cov(f, u), so d log excess / dz = 2 mu2 / m1 -
+        # mu3 / mu2 in the central moments of u = t* (1 + E)
+        mu3 = math.fsum((e3, -3.0 * e1 * e2, 2.0 * e1 * e1 * e1))
+        slope = t_star * (2.0 * var / m1 - mu3 / var)
+        z_new = z - gap / slope if slope > 0.0 else math.nan
+        if not lo < z_new < hi:
+            z_new = (0.5 * (lo + hi) if math.isfinite(lo + hi)
+                     else hi - 1.0 - abs(hi) if math.isfinite(hi)
+                     else lo + 1.0 + abs(lo))
+            if not lo < z_new < hi:  # the bracket has closed
                 break
-            t *= 0.5
-            if t < 2.0 ** -60:
-                raise ConvergenceError(
-                    "line search could not reduce the dual objective at "
-                    f"iteration {iterations} (params {p})")
-    else:
-        iterations = max_iterations
+        z = z_new
 
-    converged = converged or max(residual) <= _CONVERGED_CEILING
-    return FitReport(params=core.RadialParams(dim, float(v[0]),
-                                              float(math.exp(v[1]))),
+    return FitReport(params=core.RadialParams(dim, l1, l2),
                      iterations=iterations, residual=residual,
-                     converged=converged, feasibility=feasibility,
-                     trace=tuple(trace))
+                     converged=max(residual) <= _CONVERGED_CEILING,
+                     feasibility=feasibility, trace=tuple(trace))
 
 
 def fit_data(data: np.ndarray,
@@ -233,7 +179,8 @@ def parameter_standard_errors(params: core.RadialParams,
     The moment-matching estimator satisfies
     cov(eta_hat) ~= H**-1 / n with H the covariance of (q, q**2), by the
     delta method applied to eta(c) with deta/dc = H**-1; ConvergenceError
-    where H is not finite and positive definite at double precision.
+    where H is not finite and positive definite, or an error not finite
+    and positive, at double precision.
     """
     if n < 2:
         raise DomainError(f"n must be at least 2, got {n}")
@@ -244,6 +191,9 @@ def parameter_standard_errors(params: core.RadialParams,
             f"moment covariance of {params} is not positive definite at "
             "double precision, so the standard errors are undefined")
     # H = diag(y, y**2) g diag(y, y**2), and g**-1 = [[g22 / g11, .],
-    # [., 1]] / schur
-    return (math.sqrt(g22 / g11 / schur / n) / y,
-            1.0 / (y * y * math.sqrt(schur * n)))
+    # [., 1]] / schur; y * y alone may underflow
+    se = (math.sqrt(g22 / g11 / schur / n) / y,
+          1.0 / y / y / math.sqrt(schur * n))
+    if not all(0.0 < v < math.inf for v in se):
+        raise ConvergenceError(f"standard errors of {params} overflow: {se}")
+    return se

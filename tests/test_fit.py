@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eqe import core, fit, sampling
+from eqe import core, fit, sampling, specfun
 from eqe.errors import ConvergenceError, DomainError, InfeasibleMomentsError
 
 # 40-digit references written by tests/data/make_pcf_reference.py
@@ -214,3 +214,105 @@ def test_report_at_the_iteration_cap_holds_plain_floats():
                              max_iterations=1)
     assert type(report.converged) is bool and not report.converged
     assert all(type(r) is float for r in report.residual)
+
+
+def test_iteration_budget_must_allow_one_evaluation():
+    with pytest.raises(DomainError):
+        fit.fit_moments(3, core.MomentPair(1.0, 1.4), max_iterations=0)
+
+
+def test_trace_follows_the_iterates():
+    p = core.RadialParams(3, 4.0, 1.5)
+    mom = core.MomentPair(core.radial_moment(p, 2), core.radial_moment(p, 4))
+    report = fit.fit_moments(3, mom)
+    assert [set(t) for t in report.trace] == [
+        {"iteration", "lambda1", "lambda2", "residual"}] * report.iterations
+    last = report.trace[-1]
+    assert (last["lambda1"], last["lambda2"]) == (report.params.lambda1,
+                                                  report.params.lambda2)
+    assert last["residual"] == max(report.residual)
+
+
+@pytest.mark.filterwarnings("error")
+def test_corpus_moment_round_trip():
+    """Every feasible moment point of the corpus (D = -2 nu, lambda1 = -z,
+    lambda2 = 1/2: rings to alpha 1e8, the seeded box laws and
+    near-Gaussian laws) fits back to its law in at most 20 steps; the
+    points within the boundary margin are rejected."""
+    fitted = rejected = 0
+    for nu, z, m2, m4, *_ in CORPUS["moment_points"]:
+        dim = round(-2.0 * nu)
+        try:
+            report = fit.fit_moments(dim, core.MomentPair(m2, m4))
+        except InfeasibleMomentsError as err:
+            assert err.ratio >= err.boundary * (1.0 - 1e-6)
+            rejected += 1
+            continue
+        fitted += 1
+        p = report.params
+        assert report.converged and report.iterations <= 20, (nu, z)
+        np.testing.assert_allclose(
+            [core.radial_moment(p, 2), core.radial_moment(p, 4)], [m2, m4],
+            rtol=1e-12)
+        np.testing.assert_allclose([p.lambda1, p.lambda2], [-z, 0.5],
+                                   rtol=1e-7)
+    assert (fitted, rejected) == (240, 24)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha,rtol", [(1e10, 1e-7), (1e12, 2e-4)])
+@pytest.mark.parametrize("dim", [2, 3, 10])
+def test_ring_fit_is_right_or_says_it_is_not(dim, alpha, rtol):
+    """Exact moments of rings of radius 1 and contrast alpha.  The excess
+    c4 / c2**2 - 1 ~ 1 / (2 alpha) keeps about 16 - log10(2 alpha) digits,
+    which bounds what any fit can recover; a fit that reports converged
+    must be within that."""
+    p = core.RadialParams(dim, alpha, alpha / 2.0)
+    mom = core.MomentPair(core.radial_moment(p, 2), core.radial_moment(p, 4))
+    report = fit.fit_moments(dim, mom)
+    if report.converged:
+        np.testing.assert_allclose(report.params.lambda1, alpha, rtol=rtol)
+        np.testing.assert_allclose(report.params.lambda2, alpha / 2.0,
+                                   rtol=rtol)
+
+
+def test_fit_to_draws_of_a_thin_ring_lands_within_its_errors():
+    """1e5 draws of the alpha 1e8, D 3 ring of radius 1."""
+    n = 100000
+    truth = core.RadialParams(3, 1e8, 5e7)
+    x = sampling.sample(truth, n, sampling.SeededGenerator(11))
+    report = fit.fit_data(x, "spherical")
+    assert report.converged
+    se = fit.parameter_standard_errors(report.params, n)
+    assert abs(report.params.lambda1 - 1e8) < 4.0 * se[0]
+    assert abs(report.params.lambda2 - 5e7) < 4.0 * se[1]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_excess_increases_in_z_between_its_limits(dim):
+    """The fit's one assumption: Var u / E[u]**2 under the standard law
+    u**(D/2-1) e**(-z u - u**2/2) increases in z, from 0 (rings) towards
+    2/D (the Gaussian limit)."""
+    rng = np.random.default_rng(1600 + dim)
+    z = np.sort(np.concatenate([
+        rng.choice([-1.0, 1.0], 150) * 10.0 ** rng.uniform(-3.0, 4.0, 150),
+        [-1e4, 0.0, 1e4]]))
+    excess = []
+    for zi in z:
+        _, (e1, e2, _, _) = specfun.pcf_moment_sums(-0.5 * dim, float(zi))
+        excess.append((e2 - e1 * e1) / (1.0 + e1) ** 2)
+    excess = np.array(excess)
+    assert np.all(np.diff(excess) > 0.0)
+    assert excess[0] > 0.0 and excess[-1] < 2.0 / dim
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lambda1,lambda2", [(-1e170, 1e-250),
+                                             (-1e160, 1e-260)])
+def test_standard_errors_beyond_double_precision_raise(lambda1, lambda2):
+    """There lambda2's error is about 1 / y**2 with y ~ 1e-170 or 1e-160,
+    so it overflows (or y * y underflows first)."""
+    with pytest.raises(ConvergenceError, match="overflow"):
+        fit.parameter_standard_errors(
+            core.RadialParams(3, lambda1, lambda2), 100)
