@@ -6,11 +6,13 @@ either sign of lambda1, and lambda1 > 0 puts the mode on a shell of
 radius R = sqrt(lambda1 / (2 lambda2)) instead of at the origin.
 
 Everything radial reduces to one-dimensional integrals of
-y**(D/2-1) exp(lambda1 y - lambda2 y**2) over y = r**2 > 0, which have a
-closed form in the parabolic cylinder function.  log_norm_const exposes
-both that route and direct quadrature; they are developed and tested
-independently, and the pair doubles as a cross-check in the CLI
-selfcheck.
+y**(D/2-1) exp(lambda1 y - lambda2 y**2) over y = r**2 > 0, in u = s y,
+s = sqrt(2 lambda2), of the standard law u**(D/2-1) e**(-z u - u**2/2) of
+shape (D, z), z = -lambda1 / s: they are computed, and cached, on it, and
+the scale applied once.  Its integral has a closed form in the parabolic
+cylinder function.  log_norm_const exposes both that route and direct
+quadrature; they are developed and tested independently, and the pair
+doubles as a cross-check in the CLI selfcheck.
 """
 
 from __future__ import annotations
@@ -49,8 +51,9 @@ class RadialParams:
             raise DomainError(f"dim must be >= 1, got {d}")
         if not math.isfinite(self.lambda1):
             raise DomainError(f"lambda1 must be finite, got {self.lambda1}")
-        if not (math.isfinite(self.lambda2) and self.lambda2 > 0):
-            raise DomainError(f"lambda2 must be positive, got {self.lambda2}")
+        if not (math.isfinite(2.0 * self.lambda2) and self.lambda2 > 0):
+            raise DomainError(f"lambda2 must be positive, and 2 lambda2 "
+                              f"finite, got {self.lambda2}")
         object.__setattr__(self, "dim", int(d))
         object.__setattr__(self, "lambda1", float(self.lambda1))
         object.__setattr__(self, "lambda2", float(self.lambda2))
@@ -248,72 +251,70 @@ class LogNormInfo:
     fell_back: bool
 
 
-@lru_cache(maxsize=512)
-def _log_z_pcf(dim: int, l1: float, l2: float) -> float:
-    # The raw assembly pairs a prefactor e**(l1**2/(8 l2)) with the
-    # e**(-z**2/4) inside D_nu(z); at z**2/4 = l1**2/(8 l2) these cancel
-    # exactly, so use the compensated e**(z**2/4) D_nu(z) and skip both
-    # terms rather than subtracting two huge floats.
-    z = -l1 / math.sqrt(2.0 * l2)
-    return (log_sphere_surface_area(dim - 1) - _LN_2
-            + math.lgamma(0.5 * dim) - 0.25 * dim * math.log(2.0 * l2)
-            + specfun.pcf_d_scaled(-0.5 * dim, z))
-
-
-def _about_peak(power: float, l1: float, l2: float) -> tuple:
-    """power ln y + l1 y - l2 y^2 about its peak y* > 0 (of l1 y - l2 y^2
-    if power <= 0; y* = 0 if none): y*, shift, a and c such that at y = y* s
-    it is shift + power ln s + (s - 1)(c - a (s - 1)), a form that cancels
-    no terms of size l1 y (their rounding is ~1e-8 at alpha ~ 1e8)."""
-    if power > 0.0:
-        # the positive root of 2 l2 y^2 - l1 y - power, cancellation-free
-        disc = math.hypot(l1, math.sqrt(8.0 * l2 * power))
-        peak = ((l1 + disc) / (4.0 * l2) if l1 > 0
-                else 2.0 * power / (disc - l1))
-    else:
-        peak = 0.5 * l1 / l2 if l1 > 0 else 0.0
-    a = l2 * peak * peak
-    shift = power * math.log(peak) + l1 * peak - a if peak > 0 else 0.0
-    return peak, shift, a, l1 * peak - 2.0 * a
+def _z(p: RadialParams) -> float:
+    """The shape z = -lambda1 / sqrt(2 lambda2) of the standard law."""
+    return -p.lambda1 / math.sqrt(2.0 * p.lambda2)
 
 
 @lru_cache(maxsize=512)
-def _log_z_quadrature(dim: int, l1: float, l2: float) -> float:
+def _log_z_pcf(dim: int, z: float) -> float:
+    # Gamma(D/2) e**(z**2/4) D_{-D/2}(z), compensated, so that no
+    # e**(z**2/4) prefactor and e**(-z**2/4) inside D_nu are formed apart
+    return math.lgamma(0.5 * dim) + specfun.pcf_d_scaled(-0.5 * dim, z)
+
+
+def _about_peak(power: float, z: float) -> tuple:
+    """power ln u - z u - u**2/2 about its peak u* > 0 (of -z u - u**2/2
+    if power <= 0; u* = 0 if none): u*, shift, a = u***2/2 and c = -z - u*
+    such that at u = u* s it is shift + power ln s + (s - 1)(u* c - a (s -
+    1)).  c cancels no rounded terms: where it cancels, -z and u* are
+    within a factor 2 and their difference is exact (Sterbenz)."""
+    # the positive root of u^2 + z u - power, cancellation-free
+    q = max(power, 0.0)
+    disc = math.hypot(z, 2.0 * math.sqrt(q))
+    peak = (0.5 * (disc - z) if z < 0 else
+            q / (0.5 * disc + 0.5 * z) if q else 0.0)
+    a, c = 0.5 * peak * peak, -z - peak
+    shift = power * math.log(peak) + peak * c + a if peak > 0 else 0.0
+    return peak, shift, a, c
+
+
+@lru_cache(maxsize=512)
+def _log_z_quadrature(dim: int, z: float) -> float:
+    # log of the integral of u**power e**(-z u - u**2/2) over u > 0
+    if not -1e154 < z < math.inf:  # the pcf route's domain
+        raise DomainError(f"quadrature log Z needs a finite z > -1e154: {z}")
     power = 0.5 * dim - 1.0
-    peak, shift, a, c = _about_peak(power, l1, l2)
+    peak, shift, a, c = _about_peak(power, z)
     if a > 40.0:
-        # s = z**w, w = 1 / sqrt(power + 2 a), makes the peak O(1) wide in
-        # z, where tanh-sinh's coarse levels resolve it at any contrast.
-        # Only where the s -> 0 end holds no mass (e**-a < 1e-17): below,
-        # z**(w (power + 1) - 1) is near-singular at D = 1
+        # u = u* v**w, w = 1 / sqrt(power + 2 a), makes the peak O(1) wide
+        # in v, where tanh-sinh's coarse levels resolve it at any contrast.
+        # Only where the v -> 0 end holds no mass (e**-a < 1e-17): below,
+        # v**(w (power + 1) - 1) is near-singular at D = 1
         w = 1.0 / math.sqrt(power + 2.0 * a)
-        scale = peak * w
+        scale, c = peak * w, peak * c
 
-        def integrand(z):
-            lz = np.log(z)
-            e = np.expm1(w * lz)
-            return np.exp((w * (power + 1.0) - 1.0) * lz + e * (c - a * e))
-    elif power + 2.0 * a > 4.0:
-        # y = peak * s puts a peak narrower than half its distance from 0
-        # on the rule's centre node s = 1, where every level sees it
-        scale = peak
+        def integrand(v):
+            lv = np.log(v)
+            e = np.expm1(w * lv)
+            return np.exp((w * (power + 1.0) - 1.0) * lv + e * (c - a * e))
+    else:
+        # u = m s, m = 2.8 t with t the peak of u**2 times the integrand,
+        # puts the mass on the rule's coarse nodes for every D, whether
+        # the peak is broad or at u = 0; off scales the integrand by its
+        # peak value, or it underflows at large D
+        scale = 2.8 * _about_peak(power + 2.0, z)[0]
+        off = shift - power * math.log(scale)
 
         def integrand(s):
-            return np.exp(power * np.log(s) + (s - 1.0) * (c - a * (s - 1.0)))
-    else:
-        scale = 1.0
-        if dim < 3:  # the peak of l1 y - l2 y^2 alone, so no value moves
-            shift = l1 * l1 / (4.0 * l2) if l1 > 0 else 0.0
-
-        def integrand(y):
-            return np.exp(power * np.log(y) + l1 * y - l2 * y * y - shift)
+            u = scale * s
+            return np.exp(power * np.log(s) - u * (z + 0.5 * u) - off)
 
     res = quadrature.integrate_semi_infinite(integrand, target_rel_tol=1e-11)
     if not res.value > 0.0:
         raise ConvergenceError(f"quadrature gave a nonpositive integral for "
-                               f"dim={dim}, lambda1={l1}, lambda2={l2}")
-    return (log_sphere_surface_area(dim - 1) - _LN_2 + shift
-            + math.log(scale) + math.log(res.value))
+                               f"dim={dim}, z={z}")
+    return shift + math.log(scale) + math.log(res.value)
 
 
 def log_norm_const_info(params: Params, method: Method = "auto") -> LogNormInfo:
@@ -322,16 +323,17 @@ def log_norm_const_info(params: Params, method: Method = "auto") -> LogNormInfo:
     if method not in ("pcf", "quadrature", "auto"):
         raise DomainError(f"unknown method {method!r}")
     p = params.radial
-    extra = 0.5 * params.log_det_sigma
+    z = _z(p)
+    log_scale = (log_sphere_surface_area(p.dim - 1) - _LN_2 + 0.5 * (
+        params.log_det_sigma - 0.5 * p.dim * math.log(2.0 * p.lambda2)))
     if method != "quadrature":
         try:
-            return LogNormInfo(
-                _log_z_pcf(p.dim, p.lambda1, p.lambda2) + extra, "pcf", False)
+            return LogNormInfo(_log_z_pcf(p.dim, z) + log_scale, "pcf", False)
         except ConvergenceError:
             if method == "pcf":
                 raise
-    return LogNormInfo(_log_z_quadrature(p.dim, p.lambda1, p.lambda2) + extra,
-                       "quadrature", method == "auto")
+    return LogNormInfo(_log_z_quadrature(p.dim, z) + log_scale, "quadrature",
+                       method == "auto")
 
 
 def log_norm_const(params: Params, method: Method = "auto") -> float:
@@ -393,31 +395,31 @@ def log_norm_const_d1_neg(lambda1: float, lambda2: float) -> float:
 
 
 @lru_cache(maxsize=512)
-def _moments(dim: int, l1: float, l2: float) -> tuple:
-    """E[q**j], j = 1..4, and y = t* / sqrt(2 lambda2) with the covariance
-    (g11, g12, g22) of (E, 2 E + E**2), E = q / y - 1, and its Schur
+def _moments(dim: int, z: float) -> tuple:
+    """E[(1 + E)**j], j = 1..4, for E = u / t* - 1 under the standard law
+    of shape (dim, z), so that E[u**j] = t***j E[(1 + E)**j]; and t* with
+    the covariance (g11, g12, g22) of (E, 2 E + E**2) and its Schur
     complement g22 - g12**2 / g11, from one moments pass.  The central
     moments of E are of one size on a thin ring, where a variance of raw
     moments is ~1e-16 alpha off relative."""
-    scale = math.sqrt(2.0 * l2)
-    t_star, c = specfun.pcf_moment_sums(-0.5 * dim, -l1 / scale)
-    y, (c1, c2, c3, c4) = t_star / scale, c
-    y2 = y * y
-    raw = (y * (1.0 + c1), y2 * math.fsum((1.0, 2.0 * c1, c2)),
-           y2 * y * math.fsum((1.0, 3.0 * c1, 3.0 * c2, c3)),
-           y2 * y2 * math.fsum((1.0, 4.0 * c1, 6.0 * c2, 4.0 * c3, c4)))
+    t_star, (c1, c2, c3, c4) = specfun.pcf_moment_sums(-0.5 * dim, z)
     var, cov, var2 = c2 - c1 * c1, c3 - c1 * c2, c4 - c2 * c2
-    return raw, (y, var, 2.0 * var + cov, 4.0 * (var + cov) + var2,
-                 var2 - cov * cov / var if var > 0.0 else 0.0)
+    return ((1.0 + c1, math.fsum((1.0, 2.0 * c1, c2)),
+             math.fsum((1.0, 3.0 * c1, 3.0 * c2, c3)),
+             math.fsum((1.0, 4.0 * c1, 6.0 * c2, 4.0 * c3, c4))),
+            (t_star, var, 2.0 * var + cov, 4.0 * (var + cov) + var2,
+             var2 - cov * cov / var if var > 0.0 else 0.0))
 
 
 def radial_moment(params: Params, k: int, method: Method = "auto") -> float:
     """E[r**k] of the Mahalanobis radius, for k in {2, 4, 6, 8}.
 
-    The pcf route reads E[q**j] = y**j E[(1 + E)**j] from one moments
-    pass, within 6e-15 relative of 40-digit references on rings to alpha
-    1e8, box and near-Gaussian laws; the quadrature route, also "auto"'s
-    fallback, is the lifted ratio (Z_{D+k} / Z_D) (S_{D-1} / S_{D+k-1}).
+    It is (2 lambda2)**(-k/4) E[u**j], j = k/2, under the standard law.
+    The pcf route reads that as t***j E[(1 + E)**j] from one moments pass,
+    within 6e-15 relative of 40-digit references on rings to alpha 1e8,
+    box and near-Gaussian laws; the quadrature route, also "auto"'s
+    fallback, is the ratio of its standard integrals at D + k and D.
+    ConvergenceError where E[r**k] overflows.
     """
     if k not in (2, 4, 6, 8):
         raise DomainError(f"radial moments implemented for k in {{2,4,6,8}}, "
@@ -425,30 +427,37 @@ def radial_moment(params: Params, k: int, method: Method = "auto") -> float:
     if method not in ("pcf", "quadrature", "auto"):
         raise DomainError(f"unknown method {method!r}")
     p = params.radial
+    z, t, value = _z(p), None, 1.0
     if method != "quadrature":
         try:
-            return _moments(p.dim, p.lambda1, p.lambda2)[0][k // 2 - 1]
+            f, (t, *_) = _moments(p.dim, z)
+            value = f[k // 2 - 1]
         except ConvergenceError:
             if method == "pcf":
                 raise
-    base = log_norm_const(p, "quadrature")
-    lifted = log_norm_const(RadialParams(p.dim + k, p.lambda1, p.lambda2),
-                            "quadrature")
-    return math.exp(lifted - base
-                    + log_sphere_surface_area(p.dim - 1)
-                    - log_sphere_surface_area(p.dim + k - 1))
+    if t is None:  # the (k/2)-th root of the lifted ratio
+        t = math.exp((_log_z_quadrature(p.dim + k, z)
+                      - _log_z_quadrature(p.dim, z)) / (k // 2))
+    y = t / math.sqrt(2.0 * p.lambda2)
+    for _ in range(k // 2):
+        value *= y
+    if value == math.inf:
+        raise ConvergenceError(f"E[r**{k}] of {p} overflows")
+    return value
 
 
 def entropy(params: Params) -> float:
     """Differential entropy in nats.
 
-    H = lambda2 E[r**4] - lambda1 E[r**2] + log Z, plus
-    (1/2) log det sigma in the elliptical case: within 1e-7 nats of
-    40-digit references on rings to alpha 1e8.
+    H = lambda2 E[r**4] - lambda1 E[r**2] + log Z, which is E[u**2] / 2 +
+    z E[u] + log Z in the standard law's u, plus (1/2) log det sigma in
+    the elliptical case: within 1e-7 nats of 40-digit references on rings
+    to alpha 1e8.
     """
-    p = params.radial
-    return (p.lambda2 * radial_moment(p, 4) - p.lambda1 * radial_moment(p, 2)
-            + log_norm_const(p) + 0.5 * params.log_det_sigma)
+    z = _z(params.radial)
+    std = RadialParams(params.dim, -z, 0.5)
+    return (0.5 * radial_moment(std, 4) + z * radial_moment(std, 2)
+            + log_norm_const(params))
 
 
 def _sq_norms(params: Params | EllipticalGammaReference,

@@ -178,22 +178,24 @@ def parameter_standard_errors(params: core.RadialParams,
 
     The moment-matching estimator satisfies
     cov(eta_hat) ~= H**-1 / n with H the covariance of (q, q**2), by the
-    delta method applied to eta(c) with deta/dc = H**-1; ConvergenceError
-    where H is not finite and positive definite, or an error not finite
-    and positive, at double precision.
+    delta method applied to eta(c) with deta/dc = H**-1.  It is
+    equivariant under u = s q, s = sqrt(2 lambda2), so these are the
+    standard law's errors times that map's Jacobian diag(s, s**2);
+    ConvergenceError where H is not finite and positive definite, or an
+    error not finite and positive, at double precision.
     """
     if n < 2:
         raise DomainError(f"n must be at least 2, got {n}")
-    _, (y, g11, _, g22, schur) = core._moments(params.dim, params.lambda1,
-                                               params.lambda2)
+    _, (t, g11, _, g22, schur) = core._moments(params.dim, core._z(params))
     if not (g11 > 0.0 and schur > 0.0 and math.isfinite(g11 + g22 + schur)):
         raise ConvergenceError(
             f"moment covariance of {params} is not positive definite at "
             "double precision, so the standard errors are undefined")
-    # H = diag(y, y**2) g diag(y, y**2), and g**-1 = [[g22 / g11, .],
-    # [., 1]] / schur; y * y alone may underflow
-    se = (math.sqrt(g22 / g11 / schur / n) / y,
-          1.0 / y / y / math.sqrt(schur * n))
+    # the standard law's H = diag(t, t**2) g diag(t, t**2), and g**-1 =
+    # [[g22 / g11, .], [., 1]] / schur; t * t alone may underflow
+    s2 = 2.0 * params.lambda2
+    se = (math.sqrt(g22 / g11 / schur / n) / t * math.sqrt(s2),
+          s2 / t / t / math.sqrt(schur * n))
     if not all(0.0 < v < math.inf for v in se):
         raise ConvergenceError(f"standard errors of {params} overflow: {se}")
     return se

@@ -2,7 +2,9 @@
 
 Directions on the sphere are trivial (normalized Gaussians); all the work
 is in the radius r, whose density is proportional to
-r**(D-1) exp(lambda1 r**2 - lambda2 r**4).  The table is built in one
+r**(D-1) exp(lambda1 r**2 - lambda2 r**4), or, in rho = (2 lambda2)**(1/4)
+r, the standard law rho**(D-1) e**(-z rho**2 - rho**4 / 2) of shape (D, z)
+at any scale.  The table is built in rho, and its radii scaled once, in one
 Gauss-Legendre pass over a pilot grid: a uniform grid on [0, r_max] joined
 with a finer one over +-40 Laplace widths of the density's peak, so thin
 rings are resolved.  Knots go uniformly in the pilot CDF (log-spaced in
@@ -24,7 +26,8 @@ A draw takes its radius from the first n uniforms of the stream and its
 direction from the n*D normals after them.  The same seed gives the same
 draws within a version; between versions they may move in the last bits
 (4 ulps once; drawing in row blocks kept spherical draws byte-identical
-and moved a single elliptical draw by at most 1 ulp, see the README).
+and moved a single elliptical draw by at most 1 ulp), or, where the knots
+move, by the CDF cubic's own error (see the README).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import core
+from . import core, specfun
 from .errors import ConvergenceError, DomainError
 from .quadrature import gauss_legendre_panels
 
@@ -67,50 +70,50 @@ def _as_rng(gen) -> np.random.Generator:
         f"numpy Generator, got {type(gen)!r}")
 
 
-def _radial_profile(p: core.RadialParams) -> tuple:
-    """g(r) = (D-1) ln r + lambda1 r^2 - lambda2 r^4 about its peak: the
-    peak radius r* (0 only for D = 1), g and -g'' there, and g less its
-    peak value as a function of r (-inf at 0 for D >= 2).  That is
-    core._about_peak's form with s - 1 = t / y*, y* = r*^2: power ln s +
-    t (c - lambda2 t), t = r^2 - y*, power = (D-1)/2 and c = lambda1 -
-    2 lambda2 y*; it needs no y*^2, which underflows when D = 1 and
-    lambda1 is tiny."""
-    power, l1, l2 = 0.5 * (p.dim - 1), p.lambda1, p.lambda2
-    y_peak, shift, a, _ = core._about_peak(power, l1, l2)
+def _radial_profile(p: core.RadialParams, scale: float) -> tuple:
+    """g = (D-1) ln rho + lambda1 (scale rho)^2 - lambda2 (scale rho)^4,
+    rho = r / scale, about its peak: rho* (0 only for D = 1), g and -g''
+    there, and g less its peak value as a function of rho (-inf at 0 for
+    D >= 2).  That is core._about_peak's form with s - 1 = t / y*, y* =
+    rho*^2: power ln s + t (c - t / 2), t = rho^2 - y*, power = (D-1)/2,
+    c = lambda1 scale^2 - 2 lambda2 scale^4 y*; it needs no y*^2, which
+    underflows when D = 1 and z is tiny."""
+    power, z = 0.5 * (p.dim - 1), core._z(p)
+    y_peak, shift, a, _ = core._about_peak(power, z)
     r_peak = math.sqrt(y_peak)
-    # c exactly (int division rounds correctly): its rounding would move a
-    # ring of alpha 1e8 by ~1e-12 of its width and its CDF by ~1e-13
-    (n1, d1), (ny, dy), (n2, d2) = (
-        v.as_integer_ratio() for v in (l1, y_peak, l2))
-    c = (n1 * d2 * dy - 2 * n2 * ny * d1) / (d1 * d2 * dy)
+    # c exactly (int division rounds correctly): its rounding, or z's, would
+    # move a ring of alpha 1e8 by ~1e-12 of its width and its CDF as much
+    (n1, d1), (n2, d2), (nk, dk), (ny, dy) = (
+        v.as_integer_ratio() for v in (p.lambda1, p.lambda2, scale, y_peak))
+    c = ((n1 * d2 * dk ** 2 * dy - 2 * n2 * nk ** 2 * ny * d1) * nk ** 2
+         / (d1 * d2 * dk ** 4 * dy))
 
     def log_f(r):
         t = r * r - y_peak
         with np.errstate(divide="ignore"):
             log_term = 2.0 * power * np.log(r / r_peak) if power else 0.0
-        return log_term + t * (c - l2 * t)
-    curvature = 4.0 * (power + 2.0 * a) / y_peak if y_peak else -2.0 * l1
+        return log_term + t * (c - 0.5 * t)
+    curvature = 4.0 * (power + 2.0 * a) / y_peak if y_peak else 2.0 * z
     return r_peak, shift, curvature, log_f
 
 
-def _tail_cutoff(p: core.RadialParams, log_f, log_mass: float,
+def _tail_cutoff(dim: int, z: float, log_f, log_mass: float,
                  r_peak: float) -> float:
-    """Radius beyond which the remaining mass of exp(log_f) is below
-    _TAIL_MASS of exp(log_mass), its integral.
+    """Standard radius beyond which the remaining mass of exp(log_f) is
+    below _TAIL_MASS of exp(log_mass), its integral.
 
     Uses the bound integral_r^inf e^g <= e^g(r) / |g'(r)|, valid once g
     is decreasing and concave, which holds past the peak.
     """
     target = log_mass + math.log(_TAIL_MASS) - 2.0
-    r = r_peak + max(1.0, 0.5 / p.lambda2 ** 0.25)
+    r = r_peak + 1.0
     for _ in range(300):
         g = float(log_f(r))
-        slope = abs((p.dim - 1) / r + 2.0 * p.lambda1 * r
-                    - 4.0 * p.lambda2 * r ** 3)
+        slope = abs((dim - 1) / r - 2.0 * z * r - 2.0 * r ** 3)
         if g - math.log(max(slope, 1e-300)) <= target:
             return r
         r *= 1.15
-    raise ConvergenceError(f"could not bound the radial tail for {p}")
+    raise ConvergenceError(f"cannot bound the radial tail of D={dim}, z={z}")
 
 
 def _hermite(coef: tuple, t, slope: bool = False):
@@ -263,16 +266,19 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
 
 
 def build_radial_table(params: core.Params) -> RadialCdfTable:
-    """Build the radial inverse-CDF table.
+    """Build the radial inverse-CDF table in the standard radius rho = r /
+    scale, scale = (2 lambda2)**(-1/4), where the law is the standard law
+    of shape (D, z) to within rounding, and scale its radii once.
 
     The tail beyond the last knot carries less than 1e-14 of the mass;
     the table treats the CDF there as exactly 1.
     """
     p = params.radial
-    log_norm = (core.log_norm_const(p)
+    z, scale = core._z(p), (2.0 * p.lambda2) ** -0.25
+    log_norm = (core.log_norm_const(core.RadialParams(p.dim, -z, 0.5))
                 - core.log_sphere_surface_area(p.dim - 1))
-    r_peak, shift, curvature, log_f = _radial_profile(p)
-    r_max = _tail_cutoff(p, log_f, log_norm - shift, r_peak)
+    r_peak, shift, curvature, log_f = _radial_profile(p, scale)
+    r_max = _tail_cutoff(p.dim, z, log_f, log_norm - shift, r_peak)
 
     # a uniform grid, refined over +-40 Laplace widths of the peak so that
     # thin rings are resolved too
@@ -285,7 +291,8 @@ def build_radial_table(params: core.Params) -> RadialCdfTable:
         gauss_legendre_panels(log_f, pilot[:-1], pilot[1:]))))
     total = pilot_cum[-1]
     # both log masses carry rounding of a few ulps of their size
-    resid = abs(shift + math.log(total) - log_norm)
+    resid = (abs(shift + math.log(total) - log_norm) if total > 0.0
+             else math.inf)
     if resid > max(1e-8, 8.0 * math.ulp(max(abs(shift), abs(log_norm)))):
         raise ConvergenceError(
             f"radial CDF normalization disagrees with log_norm_const by "
@@ -310,8 +317,15 @@ def build_radial_table(params: core.Params) -> RadialCdfTable:
     cdf = np.minimum(cum / total, 1.0)
     cdf[-1] = 1.0
     pdf = np.exp(log_f(knots)) / total
-    return RadialCdfTable(params=p, knots=knots, cdf_values=cdf,
-                          pdf_values=pdf, r_max=r_max, log_norm=log_norm)
+    # each scaled knot is off knot * scale by its rounding, which moves a
+    # thin ring's CDF there by up to ~1e-12: take out the density times
+    # that rounding error, exact by Dekker's product
+    scaled, err = specfun._two_prod(knots, scale)
+    cdf[1:-1] -= pdf[1:-1] * err[1:-1] / scale
+    return RadialCdfTable(
+        params=p, knots=scaled, cdf_values=cdf, pdf_values=pdf / scale,
+        r_max=r_max * scale,
+        log_norm=log_norm - 0.25 * p.dim * math.log(2.0 * p.lambda2))
 
 
 @lru_cache(maxsize=64)

@@ -43,16 +43,18 @@ _LN_TAIL_T = math.log(1e-17)
 _SPLIT = 134217729.0  # 2**27 + 1
 
 
-def _two_prod(x: float, y: float) -> tuple:
-    """x*y as an unevaluated sum of two floats (Dekker); where splitting x
-    or y would overflow, the rounding error is left out."""
+def _two_prod(x, y) -> tuple:
+    """x*y as an unevaluated sum of two floats (Dekker), elementwise for
+    arrays; where splitting a float x or y would overflow, the rounding
+    error is left out."""
     p = x * y
     c = _SPLIT * x
     xh = c - (c - x)
     c = _SPLIT * y
     yh = c - (c - y)
     err = ((xh * yh - p) + xh * (y - yh) + (x - xh) * yh) + (x - xh) * (y - yh)
-    return p, (err if math.isfinite(err) else 0.0)
+    return p, (err if not isinstance(err, float) or math.isfinite(err)
+               else 0.0)
 
 
 def _check_args(nu: float, z: float) -> None:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eqe import core, fit, quadrature, specfun
+from eqe import core, fit, quadrature, sampling, specfun
 from eqe.errors import ConvergenceError, DomainError
 
 # 40-digit references written by tests/data/make_pcf_reference.py
@@ -82,6 +82,7 @@ def test_radial_params_basic():
     (2, 1.0, 0.0),
     (2, 1.0, -3.0),
     (2, 1.0, math.nan),
+    (2, 1.0, 1e308),  # 2 lambda2 overflows
 ])
 def test_radial_params_rejects_bad_input(dim, l1, l2):
     with pytest.raises(DomainError):
@@ -198,7 +199,7 @@ def test_quadrature_log_z_is_cheap_on_rings(monkeypatch, dim, alpha, radius):
     integrate = quadrature.integrate_semi_infinite
     monkeypatch.setattr(quadrature, "integrate_semi_infinite", counted)
     p = core.ring_to_radial(core.RingParams(dim, alpha, radius))
-    core._log_z_quadrature.__wrapped__(p.dim, p.lambda1, p.lambda2)
+    core._log_z_quadrature.__wrapped__(p.dim, core._z(p))
     assert len(spent) == 1 and spent[0] <= 1000
 
 
@@ -235,14 +236,34 @@ def test_log_norm_const_small_lambda2_limit():
                                rtol=0, atol=1e-9)
 
 
+@pytest.mark.filterwarnings("error")
 def test_log_norm_const_scale_identity():
-    # q -> q/s maps (l1, l2) -> (l1/s, l2/s^2) and multiplies Z by s^(D/2)
-    p = core.RadialParams(4, 2.5, 1.25)
-    for s in (0.5, 3.0, 20.0):
-        ps = core.RadialParams(4, 2.5 / s, 1.25 / (s * s))
-        np.testing.assert_allclose(
-            core.log_norm_const(ps),
-            core.log_norm_const(p) + 2.0 * math.log(s), rtol=1e-12)
+    """q -> q / c maps (l1, l2) -> (c l1, c**2 l2): log Z, by either route,
+    and the entropy shift by -(D/2) ln c, E[r**k] scales by c**(-k/2) and
+    same-seed draws by c**-1/2, to a few ulps.  Draws to 64: each law's
+    table is exact for its own rounded parameters, so the two tables' CDFs
+    may differ in their last bits, which inversion magnifies where the
+    density is small (measured: median 1, at most 29).  The law is
+    (2.5, 1.25) at scale c**-1/2, so that both laws are in double range,
+    and so are both moments where |k/4 log10 c| <= 300."""
+    for c in (2.0, 1.0 / 3.0, 0.05, 1e-200, 1e-3, 7.0, 1e150):
+        p = core.RadialParams(4, 2.5 / math.sqrt(c), 1.25 / c)
+        pc = core.RadialParams(4, c * p.lambda1, c * (c * p.lambda2))
+        shift = -2.0 * math.log(c)
+        for a, b in [(core.log_norm_const(pc, method),
+                      core.log_norm_const(p, method) + shift)
+                     for method in ("pcf", "quadrature")] + [
+                (core.entropy(pc), core.entropy(p) + shift)]:
+            # within 8 ulps of the largest term
+            assert abs(a - b) <= 8.0 * np.spacing(
+                max(abs(a), abs(b), abs(shift))), (c, a, b)
+        for k in (2, 4, 6, 8):
+            if abs(k / 4 * math.log10(c)) <= 300:
+                np.testing.assert_allclose(
+                    core.radial_moment(pc, k) * c ** (k / 4),
+                    core.radial_moment(p, k) * c ** (-k / 4), rtol=2e-15)
+        x, xc = (sampling.sample(law, 1000, 5) for law in (p, pc))
+        np.testing.assert_array_max_ulp(xc, x / math.sqrt(c), maxulp=64)
 
 
 def test_log_norm_const_info_provenance():
@@ -357,6 +378,16 @@ def test_moments_beyond_the_pcf_domain_raise_domain_error(dim, l1, l2):
                  lambda: fit.parameter_standard_errors(p, 10)):
         with pytest.raises(DomainError):
             call()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", ["pcf", "quadrature"])
+def test_radial_moment_overflow_raises(method):
+    """E[r**8] is ~1e399 there: ConvergenceError, never a silent inf."""
+    p = core.RadialParams(3, -1e-160, 1e-200)
+    assert 0.0 < core.radial_moment(p, 2, method) < math.inf
+    with pytest.raises(ConvergenceError, match="overflows"):
+        core.radial_moment(p, 8, method)
 
 
 def test_radial_moment_falls_back_to_lifted_quadrature(monkeypatch):

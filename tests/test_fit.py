@@ -200,7 +200,7 @@ def test_standard_errors_on_thin_rings(dim, lambda1, lambda2, se1, se2):
 @pytest.mark.parametrize("schur", [0.0, -1e-30, math.nan, math.inf])
 def test_standard_errors_of_a_singular_covariance_raise(monkeypatch, schur):
     p = core.RadialParams(3, 4.0, 1.5)
-    raw, (y, g11, g12, g22, _) = core._moments(3, 4.0, 1.5)
+    raw, (y, g11, g12, g22, _) = core._moments(3, core._z(p))
     monkeypatch.setattr(core, "_moments",
                         lambda *args: (raw, (y, g11, g12, g22, schur)))
     with pytest.raises(ConvergenceError, match="not positive definite"):
