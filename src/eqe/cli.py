@@ -133,8 +133,8 @@ def main():
 @click.option("--lambda1", type=float, default=None)
 @click.option("--lambda2", type=float, default=None)
 @click.option("--method", type=click.Choice(["pcf", "quad"]), default=None,
-              help="Force one evaluation route (default: pcf with "
-                   "quadrature fallback).")
+              help="Evaluation route (default: pcf; quad is the "
+                   "independent tanh-sinh oracle).")
 @_mapped_errors
 def cmd_logz(params_path, dim, lambda1, lambda2, method):
     """Log normalization constant."""

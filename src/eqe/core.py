@@ -257,10 +257,13 @@ def _z(p: RadialParams) -> float:
 
 
 @lru_cache(maxsize=512)
-def _log_z_pcf(dim: int, z: float) -> float:
-    # Gamma(D/2) e**(z**2/4) D_{-D/2}(z), compensated, so that no
-    # e**(z**2/4) prefactor and e**(-z**2/4) inside D_nu are formed apart
-    return math.lgamma(0.5 * dim) + specfun.pcf_d_scaled(-0.5 * dim, z)
+def _standard(dim: int, z: float) -> tuple:
+    """The standard law of shape (dim, z), from one panel pass of D_nu's
+    integral (DLMF 12.5.1, nu = -D/2): log of its integral I, log P, t* and
+    E[E**i], i = 1..4, for E = u / t* - 1 (see specfun._integral).  log Z,
+    the moments, the entropy, the standard errors and each fit step all
+    read it."""
+    return specfun._integral(-0.5 * dim, z, 4)
 
 
 def _about_peak(power: float, z: float) -> tuple:
@@ -317,23 +320,25 @@ def _log_z_quadrature(dim: int, z: float) -> float:
     return shift + math.log(scale) + math.log(res.value)
 
 
+def _log_scale(params: Params) -> float:
+    """log Z minus log I of the standard law: log S_{D-1} - ln 2 - (D/4)
+    ln(2 lambda2) + (1/2) log det sigma."""
+    p = params.radial
+    return log_sphere_surface_area(p.dim - 1) - _LN_2 + 0.5 * (
+        params.log_det_sigma - 0.5 * p.dim * math.log(2.0 * p.lambda2))
+
+
 def log_norm_const_info(params: Params, method: Method = "auto") -> LogNormInfo:
-    """log Z with provenance: which route produced it and whether the
-    closed form fell back to quadrature."""
+    """log Z with provenance: which route produced it ("auto" is pcf, so
+    fell_back is always False)."""
     if method not in ("pcf", "quadrature", "auto"):
         raise DomainError(f"unknown method {method!r}")
     p = params.radial
-    z = _z(p)
-    log_scale = (log_sphere_surface_area(p.dim - 1) - _LN_2 + 0.5 * (
-        params.log_det_sigma - 0.5 * p.dim * math.log(2.0 * p.lambda2)))
-    if method != "quadrature":
-        try:
-            return LogNormInfo(_log_z_pcf(p.dim, z) + log_scale, "pcf", False)
-        except ConvergenceError:
-            if method == "pcf":
-                raise
-    return LogNormInfo(_log_z_quadrature(p.dim, z) + log_scale, "quadrature",
-                       method == "auto")
+    if method == "quadrature":
+        log_i, route = _log_z_quadrature(p.dim, _z(p)), "quadrature"
+    else:
+        log_i, route = _standard(p.dim, _z(p))[0], "pcf"
+    return LogNormInfo(log_i + _log_scale(params), route, False)
 
 
 def log_norm_const(params: Params, method: Method = "auto") -> float:
@@ -394,32 +399,15 @@ def log_norm_const_d1_neg(lambda1: float, lambda2: float) -> float:
             + specfun.bessel_k_quarter_scaled(w))
 
 
-@lru_cache(maxsize=512)
-def _moments(dim: int, z: float) -> tuple:
-    """E[(1 + E)**j], j = 1..4, for E = u / t* - 1 under the standard law
-    of shape (dim, z), so that E[u**j] = t***j E[(1 + E)**j]; and t* with
-    the covariance (g11, g12, g22) of (E, 2 E + E**2) and its Schur
-    complement g22 - g12**2 / g11, from one moments pass.  The central
-    moments of E are of one size on a thin ring, where a variance of raw
-    moments is ~1e-16 alpha off relative."""
-    t_star, (c1, c2, c3, c4) = specfun.pcf_moment_sums(-0.5 * dim, z)
-    var, cov, var2 = c2 - c1 * c1, c3 - c1 * c2, c4 - c2 * c2
-    return ((1.0 + c1, math.fsum((1.0, 2.0 * c1, c2)),
-             math.fsum((1.0, 3.0 * c1, 3.0 * c2, c3)),
-             math.fsum((1.0, 4.0 * c1, 6.0 * c2, 4.0 * c3, c4))),
-            (t_star, var, 2.0 * var + cov, 4.0 * (var + cov) + var2,
-             var2 - cov * cov / var if var > 0.0 else 0.0))
-
-
 def radial_moment(params: Params, k: int, method: Method = "auto") -> float:
     """E[r**k] of the Mahalanobis radius, for k in {2, 4, 6, 8}.
 
     It is (2 lambda2)**(-k/4) E[u**j], j = k/2, under the standard law.
-    The pcf route reads that as t***j E[(1 + E)**j] from one moments pass,
-    within 6e-15 relative of 40-digit references on rings to alpha 1e8,
-    box and near-Gaussian laws; the quadrature route, also "auto"'s
-    fallback, is the ratio of its standard integrals at D + k and D.
-    ConvergenceError where E[r**k] overflows.
+    The pcf route reads that as t***j E[(1 + E)**j] from its one panel
+    pass, within 6e-15 relative of 40-digit references on rings to alpha
+    1e8, box and near-Gaussian laws; the quadrature route is the ratio of
+    its standard integrals at D + k and D.  ConvergenceError where E[r**k]
+    overflows.
     """
     if k not in (2, 4, 6, 8):
         raise DomainError(f"radial moments implemented for k in {{2,4,6,8}}, "
@@ -427,19 +415,16 @@ def radial_moment(params: Params, k: int, method: Method = "auto") -> float:
     if method not in ("pcf", "quadrature", "auto"):
         raise DomainError(f"unknown method {method!r}")
     p = params.radial
-    z, t, value = _z(p), None, 1.0
-    if method != "quadrature":
-        try:
-            f, (t, *_) = _moments(p.dim, z)
-            value = f[k // 2 - 1]
-        except ConvergenceError:
-            if method == "pcf":
-                raise
-    if t is None:  # the (k/2)-th root of the lifted ratio
-        t = math.exp((_log_z_quadrature(p.dim + k, z)
-                      - _log_z_quadrature(p.dim, z)) / (k // 2))
+    z, j = _z(p), k // 2
+    if method == "quadrature":  # the j-th root of the lifted ratio
+        t, value = math.exp((_log_z_quadrature(p.dim + k, z)
+                             - _log_z_quadrature(p.dim, z)) / j), 1.0
+    else:
+        _, _, t, e = _standard(p.dim, z)
+        value = math.fsum(math.comb(j, i) * c
+                          for i, c in enumerate((1.0, *e[:j])))
     y = t / math.sqrt(2.0 * p.lambda2)
-    for _ in range(k // 2):
+    for _ in range(j):
         value *= y
     if value == math.inf:
         raise ConvergenceError(f"E[r**{k}] of {p} overflows")
@@ -449,15 +434,19 @@ def radial_moment(params: Params, k: int, method: Method = "auto") -> float:
 def entropy(params: Params) -> float:
     """Differential entropy in nats.
 
-    H = lambda2 E[r**4] - lambda1 E[r**2] + log Z, which is E[u**2] / 2 +
-    z E[u] + log Z in the standard law's u, plus (1/2) log det sigma in
-    the elliptical case: within 1e-7 nats of 40-digit references on rings
-    to alpha 1e8.
+    H = lambda2 E[r**4] - lambda1 E[r**2] + log Z, which in the standard
+    law's u = t* (1 + E), with t*^2 + z t* = a = D/2, is a ln t* + log P +
+    a E[E] + t*^2 E[E**2] / 2 plus log Z's scale term, P = I e**-(a ln t*
+    - t*^2/2 - z t*) the integral about the peak: no alpha-sized terms
+    cancel on a thin ring.  Within 1e-12 nats of 40-digit references on
+    rings to alpha 1e8, and 1e-13 of max(1, |H|) on box and near-Gaussian
+    laws.
     """
-    z = _z(params.radial)
-    std = RadialParams(params.dim, -z, 0.5)
-    return (0.5 * radial_moment(std, 4) + z * radial_moment(std, 2)
-            + log_norm_const(params))
+    p = params.radial
+    a = 0.5 * p.dim
+    _, log_p, t, (e1, e2, _, _) = _standard(p.dim, _z(p))
+    return (a * (math.log(t) + e1) + log_p + 0.5 * t * t * e2
+            + _log_scale(params))
 
 
 def _sq_norms(params: Params | EllipticalGammaReference,

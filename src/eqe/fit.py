@@ -7,11 +7,11 @@ separates out of them: with s = sqrt(2 lambda2), u = s q has density
 proportional to u**(D/2-1) e**(-z u - u**2/2), z = -lambda1 / s, so the
 excess Var q / E[q]**2 depends on z alone, and then s = E[u] / c2.  Newton
 solves log excess(z) = log((c4 - c2**2) / c2**2) in z, reading the excess
-and its slope from the central moments of one specfun.pcf_moment_sums
-pass, which keep their digits on thin rings.  The excess increases in z
-from 0 (rings, ~ z**-2) to 2/D (the Gaussian limit, ~ 2/D - (1 + 2/D) /
-z**2); Newton starts on the nearer asymptote and stays inside a bracket
-of the z evaluated so far.
+and its slope from the central moments of the standard law's one panel
+pass (core._standard), which keep their digits on thin rings.  The excess
+increases in z from 0 (rings, ~ z**-2) to 2/D (the Gaussian limit, ~ 2/D -
+(1 + 2/D) / z**2); Newton starts on the nearer asymptote and stays inside
+a bracket of the z evaluated so far.
 
 Feasibility: as lambda2 -> 0 the family degenerates to a Gaussian in q,
 where c4/c2**2 -> (D+2)/D.  Ratios at or beyond that boundary admit no
@@ -26,7 +26,7 @@ from typing import Literal
 
 import numpy as np
 
-from . import core, specfun
+from . import core
 from .errors import ConvergenceError, DomainError, InfeasibleMomentsError
 
 # ratios within this relative distance of the Gaussian boundary are
@@ -92,7 +92,7 @@ def fit_moments(dim: int, moments: core.MomentPair, *,
     lo, hi = -math.inf, math.inf
     trace = []
     for iterations in range(1, max_iterations + 1):
-        t_star, (e1, e2, e3, _) = specfun.pcf_moment_sums(-0.5 * dim, z)
+        _, _, t_star, (e1, e2, e3, _) = core._standard(dim, z)
         m1, var = 1.0 + e1, e2 - e1 * e1
         gap = math.log(var / (m1 * m1) / excess)
         s = t_star * m1 / c2
@@ -186,7 +186,13 @@ def parameter_standard_errors(params: core.RadialParams,
     """
     if n < 2:
         raise DomainError(f"n must be at least 2, got {n}")
-    _, (t, g11, _, g22, schur) = core._moments(params.dim, core._z(params))
+    _, _, t, (e1, e2, e3, e4) = core._standard(params.dim, core._z(params))
+    # the covariance g of (E, 2 E + E**2), in central moments of E, which
+    # are of one size on a thin ring, where a variance of raw moments is
+    # ~1e-16 alpha off relative
+    g11, cov, var2 = e2 - e1 * e1, e3 - e1 * e2, e4 - e2 * e2
+    g22 = 4.0 * (g11 + cov) + var2
+    schur = var2 - cov * cov / g11 if g11 > 0.0 else 0.0
     if not (g11 > 0.0 and schur > 0.0 and math.isfinite(g11 + g22 + schur)):
         raise ConvergenceError(
             f"moment covariance of {params} is not positive definite at "

@@ -1,10 +1,10 @@
 """Two deterministic quadrature rules that share no code.
 
 integrate_semi_infinite is adaptive double-exponential (tanh-sinh)
-quadrature over (0, infinity).  It is both the fallback normalization
-path and the independent oracle the closed-form special function route is
-tested against, so this module deliberately depends on nothing else in
-the package.  The trapezoid rule in the transformed variable is refined
+quadrature over (0, infinity).  It is the independent oracle the
+closed-form special function route is tested against (log_norm_const's
+"quadrature" method), so this module deliberately depends on nothing else
+in the package.  The trapezoid rule in the transformed variable is refined
 by halving the step; previously evaluated nodes are reused, the result is
 a pure function of the integrand and tolerances, and the error estimate
 is the standard last-level difference.  Integrable endpoint singularities

@@ -275,8 +275,7 @@ def build_radial_table(params: core.Params) -> RadialCdfTable:
     """
     p = params.radial
     z, scale = core._z(p), (2.0 * p.lambda2) ** -0.25
-    log_norm = (core.log_norm_const(core.RadialParams(p.dim, -z, 0.5))
-                - core.log_sphere_surface_area(p.dim - 1))
+    log_norm = core._standard(p.dim, z)[0] - core._LN_2  # log I / 2
     r_peak, shift, curvature, log_f = _radial_profile(p, scale)
     r_max = _tail_cutoff(p.dim, z, log_f, log_norm - shift, r_peak)
 

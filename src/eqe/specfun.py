@@ -24,7 +24,6 @@ tanh-sinh oracle the closed forms are checked against.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -78,7 +77,7 @@ def pcf_d_scaled(nu: float, z: float) -> float:
     nu from -1e-12 to -500, z in [-1.5e4, 1.4e5]) the error is at most
     1e-14 of max(1, |value|); the tests hold it to 1e-13.  As nu -> 0 the
     value goes to 0 and that error stays absolute, not relative: at (-1e-12,
-    0) it is 6.272e-13 against 6.352e-13, 1.3 % off, which a caller that
+    0) it is 6.288e-13 against 6.352e-13, 1 % off, which a caller that
     divides by the log or differentiates it in nu near 0 must allow for.
 
     With a = -nu, t* > 0 solves t**2 + z t = a and the integrand peaks at
@@ -94,48 +93,50 @@ def pcf_d_scaled(nu: float, z: float) -> float:
     the right end, and panels that double in width cover the span left.
     """
     _check_args(nu, z)
-    if nu == 0:
-        return 0.0
+    return 0.0 if nu == 0 else _integral(nu, z)[0] - math.lgamma(-nu)
+
+
+def _integral(nu: float, z: float, order: int = 0) -> tuple:
+    """One panel pass over I_0, the integral of t**(a-1) e**(-t**2/2 - z
+    t), a = -nu, for -1e305 < nu < 0 (pcf_d_scaled describes the panels):
+    log I_0; log P, for P = I_0 e**-(a u* - t*^2/2 - z t*) the integral
+    about the peak; t*; and E[E**i], i = 1..order, for E = t / t* - 1, so
+    that I_j / I_0 = t***j E[(1 + E)**j] for I_j the integral at a + j.
+    Where the panels end the integrand falls as e**(-(t* E)**2 / 2) or
+    e**(-a E / 2), far faster than E**4 grows; but they reach d = 700
+    where a < 1e-300, and E**4 overflows there, so order 0 forms no
+    moment rows."""
+    _check_args(nu, z)
     a = -nu
     u_star, t_star, log_f, edges, log_tail = _panels(a, z)
-    total = float(gauss_legendre_panels(log_f, edges[1:], edges[:-1]).sum())
-    if not (math.isfinite(total) and total > 0.0):
-        raise ConvergenceError(
-            f"integral for D_{nu}({z}) came out as {total}")
-    log_total = math.log(total)
+    lo, hi = edges[1:], edges[:-1]
+    sums = (gauss_legendre_panels(log_f, lo, hi, np.expm1, order).tolist()
+            if order else [float(gauss_legendre_panels(log_f, lo, hi).sum())])
+    log_p = math.log(sums[0]) if sums[0] > 0.0 else math.nan
+    moments = [s / sums[0] for s in sums[1:]]
     if log_tail is not None:
-        log_total = max(log_total, log_tail) + math.log1p(
-            math.exp(-abs(log_total - log_tail)))
-    # the peak's exponent a u* - t*^2 / 2 - z t*, rounded once
-    return math.fsum((*_two_prod(a, u_star), *_two_prod(-0.5 * t_star, t_star),
-                      *_two_prod(-z, t_star), log_total, -math.lgamma(a)))
-
-
-def pcf_moment_sums(nu: float, z: float) -> tuple:
-    """t* and E[E**i], i = 1..4, for E = t / t* - 1 under pcf_d_scaled's
-    integrand, -1e305 < nu < 0, on its nodes; I_j / I_0 = t***j E[(1 +
-    E)**j] for I_j the integral of t**(j-nu-1) e**(-t**2/2 - z t).  Where
-    the panels end the integrand falls as e**(-(t* E)**2 / 2) or
-    e**(-a E / 2), far faster than E**4 grows."""
-    _check_args(nu, z)
-    _, t_star, log_f, edges, log_tail = _panels(-nu, z)
-    sums = gauss_legendre_panels(log_f, edges[1:], edges[:-1], np.expm1,
-                                 4).tolist()
-    if log_tail is not None:  # there E = -1 to within 1e-17
-        tail = math.exp(log_tail)
-        sums = [s + (-tail if i % 2 else tail) for i, s in enumerate(sums)]
-    if not (sums[0] > 0.0 and math.isfinite(sum(sums))):
+        # the tail holds a share of the mass at E = -1 (to within 1e-17);
+        # added in logs, as it reaches e**744 at the smallest a
+        gap = log_tail - log_p
+        soft = math.log1p(math.exp(-abs(gap)))
+        log_p += max(gap, 0.0) + soft
+        share = math.exp(min(gap, 0.0) - soft)
+        moments = [(1.0 - share) * m + (-share if i % 2 else share)
+                   for i, m in enumerate(moments, 1)]
+    if not math.isfinite(log_p + sum(moments)):
         raise ConvergenceError(
-            f"moment integrals of D_{nu}({z}) came out as {sums}")
-    return t_star, [s / sums[0] for s in sums[1:]]
+            f"integrals of D_{nu}({z}) came out as {sums}")
+    # the peak's exponent a u* - t*^2 / 2 - z t*, rounded once with log P
+    log_i = math.fsum((*_two_prod(a, u_star),
+                       *_two_prod(-0.5 * t_star, t_star),
+                       *_two_prod(-z, t_star), log_p))
+    return log_i, log_p, t_star, tuple(moments)
 
 
-@lru_cache(maxsize=64)
 def _panels(a: float, z: float) -> tuple:
     """u*, t*, the order-a integrand's log about its peak as a function of
-    d = u - u*, the descending panel edges in d (read-only), and the log of
-    the closed-form tail left of the last edge (None if there is none).
-    Kept for the moments pass, which follows log Z's on the same law."""
+    d = u - u*, the descending panel edges in d, and the log of the
+    closed-form tail left of the last edge (None if there is none)."""
     # sqrt(z**2 + 4 a), and t*, free of overflow and cancellation
     r = math.hypot(z, 2.0 * math.sqrt(a))
     u_star = (math.log(0.5 * r - 0.5 * z) if z <= 0.0
@@ -185,9 +186,7 @@ def _panels(a: float, z: float) -> tuple:
 
     # log of the integral of e**(a d + a - t*^2 / 2) over d < left
     log_tail = a * (left + 1.0) - k * k - math.log(a) if closed_tail else None
-    edges = np.array(edges)
-    edges.flags.writeable = False
-    return u_star, t_star, log_f, edges, log_tail
+    return u_star, t_star, log_f, np.array(edges), log_tail
 
 
 def _bessel_i_series(order: float, x: float) -> float:

@@ -5,8 +5,9 @@ Writes pcf_reference.json next to this script.  The values come from
 mpmath's pcfd at 40 digits, each checked against a 50-digit evaluation,
 and are rounded to double once.  Moments are E[q**j], j = 1..4, of the law
 with D = -2 nu, lambda1 = -z and lambda2 = 1/2 (any other lambda2 follows
-by scaling q): Gamma(D/2 + j) / Gamma(D/2) D_{nu-j}(z) / D_nu(z).
-Entropies and parameter_standard_errors (at n = 1) are those of rings of
+by scaling q): Gamma(D/2 + j) / Gamma(D/2) D_{nu-j}(z) / D_nu(z); each row
+ends with that law's entropy, E[q**2] / 2 + z E[q] + log Z.  The other
+entropies and parameter_standard_errors (at n = 1) are those of rings of
 radius 1, lambda1 = alpha and lambda2 = alpha / 2.  The file records this script's sha256,
 so a stale file is caught without recomputing it.
 
@@ -67,12 +68,16 @@ def reference(nu: float, z: float, dps: int):
 
 
 def moments(nu: float, z: float, dps: int) -> list:
+    """E[q**j], j = 1..4, and the entropy, of the law D = -2 nu, lambda1 =
+    -z, lambda2 = 1/2, whose log Z is (D/2) ln pi + z**2/4 + ln D_nu(z)."""
     import mpmath
     with mpmath.workdps(dps):
         a, y = -mpmath.mpf(nu), mpmath.mpf(z)
         d0 = _pcfd(-a, y)
-        return [mpmath.gamma(a + j) / mpmath.gamma(a) * _pcfd(-a - j, y) / d0
-                for j in range(1, 5)]
+        m = [mpmath.gamma(a + j) / mpmath.gamma(a) * _pcfd(-a - j, y) / d0
+             for j in range(1, 5)]
+        log_z = a * mpmath.log(mpmath.pi) + y * y / 4 + mpmath.log(d0)
+        return m + [m[1] / 2 + y * m[0] + log_z]
 
 
 def ring_entropy(dim: int, alpha: float, dps: int):
@@ -98,7 +103,7 @@ def standard_errors(dim: int, alpha: float, dps: int) -> list:
         l1, l2 = mpmath.mpf(alpha), mpmath.mpf(alpha) / 2
         s = mpmath.sqrt(2 * l2)
         m = [m / s ** j for j, m in enumerate(
-            moments(-dim / 2, -l1 / s, dps + 40), 1)]
+            moments(-dim / 2, -l1 / s, dps + 40)[:4], 1)]
         h11, h12, h22 = m[1] - m[0] ** 2, m[2] - m[0] * m[1], m[3] - m[1] ** 2
         det = h11 * h22 - h12 * h12
         return [mpmath.sqrt(h22 / det), mpmath.sqrt(h11 / det)]
@@ -125,7 +130,7 @@ def generate() -> dict:
             "value": "log(exp(z**2/4) D_nu(z))",
             "columns": ["nu", "z", "log_value"],
             "moment_columns": ["nu", "z", "E[q]", "E[q^2]", "E[q^3]",
-                               "E[q^4]"],
+                               "E[q^4]", "entropy"],
             "entropy_columns": ["dim", "lambda1", "lambda2", "entropy"],
             "se_columns": ["dim", "lambda1", "lambda2", "se_lambda1",
                            "se_lambda2"],

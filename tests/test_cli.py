@@ -245,13 +245,13 @@ def _ring_draws(runner, ring_file, tmp_path):
 def test_fit_with_undefined_standard_errors_exits_3(runner, ring_file,
                                                    tmp_path, monkeypatch):
     draws = _ring_draws(runner, ring_file, tmp_path)
-    moments = core._moments.__wrapped__
+    standard = core._standard.__wrapped__
 
-    def singular(*args):  # the covariance's Schur complement rounds to 0
-        raw, cov = moments(*args)
-        return raw, (*cov[:4], 0.0)
+    def singular(*args):  # E**2 has no variance: the covariance is singular
+        log_i, log_p, t, (e1, e2, e3, _) = standard(*args)
+        return log_i, log_p, t, (e1, e2, e3, e2 * e2)
 
-    monkeypatch.setattr(core, "_moments", singular)
+    monkeypatch.setattr(core, "_standard", singular)
     res = runner.invoke(cli.main, ["fit", "--input", draws,
                                    "--model", "spherical"])
     assert res.exit_code == 3

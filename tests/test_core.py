@@ -333,7 +333,7 @@ def test_moment_corpus():
     got = np.array([[core.radial_moment(
         core.RadialParams(round(-2.0 * nu), -z, 0.5), k)
         for k in (2, 4, 6, 8)] for nu, z, *_ in rows])
-    err = np.abs(got / np.array([r[2:] for r in rows]) - 1.0).max(axis=1)
+    err = np.abs(got / np.array([r[2:6] for r in rows]) - 1.0).max(axis=1)
     worst = int(np.argmax(err))
     assert err[worst] <= 1e-13, (rows[worst], got[worst])
 
@@ -341,30 +341,43 @@ def test_moment_corpus():
 @pytest.mark.filterwarnings("error")
 def test_ring_entropy_corpus():
     """Entropies of rings of radius 1, alpha 1e4-1e8 and D 1-12, within
-    1e-7 nats of the 40-digit references: lambda2 E[q**2], lambda1 E[q]
-    and log Z are each ~alpha there."""
+    1e-12 nats of the 40-digit references, though lambda2 E[q**2],
+    lambda1 E[q] and log Z are each ~alpha there."""
     err = [abs(core.entropy(core.RadialParams(d, l1, l2)) - h)
            for d, l1, l2, h in CORPUS["entropy_points"]]
-    assert max(err) <= 1e-7
+    assert max(err) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+def test_moment_law_entropy_corpus():
+    """Entropies of the corpus's moment laws (rings to alpha 1e8, the
+    seeded box laws and near-Gaussian laws, each at lambda1 = -z, lambda2
+    = 1/2) within 1e-13 of max(1, |H|) of the 40-digit references."""
+    rows = CORPUS["moment_points"]
+    got = [core.entropy(core.RadialParams(round(-2.0 * nu), -z, 0.5))
+           for nu, z, *_ in rows]
+    err = [abs(g - r[6]) / max(1.0, abs(r[6])) for g, r in zip(got, rows)]
+    worst = int(np.argmax(err))
+    assert err[worst] <= 1e-13, (rows[worst], got[worst])
 
 
 def test_moments_and_entropy_take_one_moments_pass(monkeypatch):
-    passes, pcf_calls = [], []
-    real, real_pcf = specfun.pcf_moment_sums, specfun.pcf_d_scaled
-    monkeypatch.setattr(specfun, "pcf_moment_sums",
-                        lambda nu, z: passes.append(z) or real(nu, z))
-    monkeypatch.setattr(specfun, "pcf_d_scaled",
-                        lambda nu, z: pcf_calls.append(nu) or real_pcf(nu, z))
-    core._moments.cache_clear()
-    core._log_z_pcf.cache_clear()
+    """log Z, E[r**k] by pcf and "auto", the entropy and the standard
+    errors of one law take one panel pass between them: no normalization
+    constant of a lifted dimension, and no second pass for the moments."""
+    passes = []
+    rule = specfun.gauss_legendre_panels
+    monkeypatch.setattr(specfun, "gauss_legendre_panels",
+                        lambda *args: passes.append(args) or rule(*args))
+    core._standard.cache_clear()
     p = core.RadialParams(4, 2.5, 0.75)
-    core.entropy(p)
+    core.log_norm_const(p)
     for k in (2, 4, 6, 8):
         core.radial_moment(p, k, "pcf")
+        core.radial_moment(p, k, "auto")
+    core.entropy(p)
     fit.parameter_standard_errors(p, 100)
-    # one moments pass, and log Z's own pass at order -D/2 only: no
-    # normalization constant of a lifted dimension
-    assert len(passes) == 1 and pcf_calls == [-2.0]
+    assert len(passes) == 1
 
 
 @pytest.mark.filterwarnings("error")
@@ -390,23 +403,13 @@ def test_radial_moment_overflow_raises(method):
         core.radial_moment(p, 8, method)
 
 
-def test_radial_moment_falls_back_to_lifted_quadrature(monkeypatch):
+def test_radial_moment_by_quadrature_agrees_with_pcf():
     p = core.RadialParams(3, 4.0, 1.5)
     expected = [core.radial_moment(p, k, "pcf") for k in (2, 4, 6, 8)]
-
-    def failing(nu, z):
-        raise ConvergenceError("moment integrals came out as nan")
-
-    monkeypatch.setattr(specfun, "pcf_moment_sums", failing)
-    core._moments.cache_clear()
-    with pytest.raises(ConvergenceError):
-        core.radial_moment(p, 2, "pcf")
-    for method in ("auto", "quadrature"):
-        got = [core.radial_moment(p, k, method) for k in (2, 4, 6, 8)]
-        np.testing.assert_allclose(got, expected, rtol=1e-9)
+    got = [core.radial_moment(p, k, "quadrature") for k in (2, 4, 6, 8)]
+    np.testing.assert_allclose(got, expected, rtol=1e-9)
     with pytest.raises(DomainError):
         core.radial_moment(p, 2, "lifted")
-    core._moments.cache_clear()
 
 
 def test_radial_moment_rejects_odd_order():

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eqe import core, fit, sampling, specfun
+from eqe import core, fit, sampling
 from eqe.errors import ConvergenceError, DomainError, InfeasibleMomentsError
 
 # 40-digit references written by tests/data/make_pcf_reference.py
@@ -200,9 +200,12 @@ def test_standard_errors_on_thin_rings(dim, lambda1, lambda2, se1, se2):
 @pytest.mark.parametrize("schur", [0.0, -1e-30, math.nan, math.inf])
 def test_standard_errors_of_a_singular_covariance_raise(monkeypatch, schur):
     p = core.RadialParams(3, 4.0, 1.5)
-    raw, (y, g11, g12, g22, _) = core._moments(3, core._z(p))
-    monkeypatch.setattr(core, "_moments",
-                        lambda *args: (raw, (y, g11, g12, g22, schur)))
+    # E[E**i] = (0, v, 0, v**2 + schur): var E = v, Cov(E, E**2) = 0 and
+    # Var E**2 = schur, the Schur complement of the covariance
+    v = 2.0 ** -50
+    log_i, log_p, t, _ = core._standard(3, core._z(p))
+    monkeypatch.setattr(core, "_standard", lambda *args: (
+        log_i, log_p, t, (0.0, v, 0.0, v * v + schur)))
     with pytest.raises(ConvergenceError, match="not positive definite"):
         fit.parameter_standard_errors(p, 100)
 
@@ -300,7 +303,7 @@ def test_excess_increases_in_z_between_its_limits(dim):
         [-1e4, 0.0, 1e4]]))
     excess = []
     for zi in z:
-        _, (e1, e2, _, _) = specfun.pcf_moment_sums(-0.5 * dim, float(zi))
+        _, _, _, (e1, e2, _, _) = core._standard(dim, float(zi))
         excess.append((e2 - e1 * e1) / (1.0 + e1) ** 2)
     excess = np.array(excess)
     assert np.all(np.diff(excess) > 0.0)
