@@ -385,14 +385,17 @@ def log_norm_const_d1_neg(lambda1: float, lambda2: float) -> float:
     """Closed form for dim = 1 with lambda1 < 0, via K_{1/4}.
 
     Z_1 = (1/2) sqrt(-lambda1/lambda2) e**w K_{1/4}(w),
-    w = lambda1**2 / (8 lambda2).
+    w = lambda1**2 / (8 lambda2); ConvergenceError where w is not a double.
     """
-    if not lambda1 < 0:
+    if not -math.inf < lambda1 < 0:
         raise DomainError(
-            f"this closed form requires lambda1 < 0, got {lambda1}")
+            f"this closed form requires a finite lambda1 < 0, got {lambda1}")
     if not (math.isfinite(lambda2) and lambda2 > 0):
         raise DomainError(f"lambda2 must be positive, got {lambda2}")
-    w = lambda1 * lambda1 / (8.0 * lambda2)
+    r = lambda1 / math.sqrt(lambda2) / math.sqrt(8.0)
+    w = r * r  # lambda1**2 itself may overflow or underflow
+    if not 0.0 < w < math.inf:
+        raise ConvergenceError(f"w = lambda1**2 / (8 lambda2) rounds to {w}")
     # e**w K_{1/4}(w) as one compensated value; forming e**w and K
     # separately would overflow and lose the cancellation at large w.
     return (-_LN_2 + 0.5 * (math.log(-lambda1) - math.log(lambda2))
@@ -546,16 +549,16 @@ class EllipticalGammaReference(_ShapeMatrix):
         return float(out) if np.ndim(q) == 0 else out
 
     def entropy(self) -> float:
-        """Differential entropy; E[ln q] is integrated numerically."""
-        a, b, d = self.a, self.b, self.dim
-        norm = math.lgamma(a) + a * math.log(b)
-
-        def integrand(y):
-            return np.log(y) * np.exp((a - 1.0) * np.log(y) - y / b - norm)
-
-        mean_log_q = quadrature.integrate_semi_infinite(
-            integrand, target_rel_tol=1e-12, target_abs_tol=1e-12).value
-        return (self.log_norm_const - (a - 0.5 * d) * mean_log_q + a)
+        """Differential entropy in nats, 1/2 log det sigma + log S_{D-1} -
+        ln 2 + h(a) + (D/2 - 1) psi(a) + (D/2) ln b, h the entropy of
+        Gamma(a, 1), to 1e-13 of max(1, |H|); ConvergenceError on overflow."""
+        psi, h = specfun._gamma_law(self.a)
+        d = self.dim
+        value = log_sphere_surface_area(d - 1) - _LN_2 + h + 0.5 * (
+            self.log_det_sigma + (d - 2) * psi + d * math.log(self.b))
+        if not math.isfinite(value):
+            raise ConvergenceError(f"the entropy at a={self.a} overflows")
+        return value
 
     def sample(self, n: int, gen) -> np.ndarray:
         """n draws; gen is a SeededGenerator or a numpy Generator."""

@@ -1,20 +1,20 @@
 """Two deterministic quadrature rules that share no code.
 
 integrate_semi_infinite is adaptive double-exponential (tanh-sinh)
-quadrature over (0, infinity).  It is the independent oracle the
-closed-form special function route is tested against (log_norm_const's
-"quadrature" method), so this module deliberately depends on nothing else
-in the package.  The trapezoid rule in the transformed variable is refined
-by halving the step; previously evaluated nodes are reused, the result is
-a pure function of the integrand and tolerances, and the error estimate
-is the standard last-level difference.  Integrable endpoint singularities
-up to y**(-1/2) are absorbed by the double-exponential weight decay.
-The nodes and weights of levels 0-10 (about 300 KB) are built once and
-kept read-only; deeper levels, which no log Z reaches, are built per call.
+quadrature over (0, infinity), used only as the independent oracle that
+the closed-form routes are tested against (log_norm_const's "quadrature"
+method), so this module deliberately depends on nothing else in the
+package.  The trapezoid rule in the transformed variable is refined by
+halving the step; previously evaluated nodes are reused, the result is a
+pure function of the integrand and tolerances, and the error estimate is
+the standard last-level difference.  Integrable endpoint singularities up
+to y**(-1/2) are absorbed by the double-exponential weight decay.  The
+nodes and weights of levels 0-10 (about 300 KB) are built once and kept
+read-only; deeper levels, which no log Z reaches, are built per call.
 
 gauss_legendre_panels is a fixed 24-point Gauss-Legendre rule on panels
-the caller places around a smooth, already located peak: the integral
-representation of D_nu and the sampler's radial CDF table use it.
+the caller places around a smooth, already located peak: the integrals of
+D_nu and K_{1/4} and the sampler's radial CDF table use it.
 """
 
 from __future__ import annotations
@@ -87,15 +87,13 @@ def _level_nodes(level: int) -> tuple:
 
 def integrate_semi_infinite(f: Callable[[float], float], *,
                             target_rel_tol: float = 1e-10,
-                            target_abs_tol: float = 0.0,
                             max_evaluations: int = 10 ** 6) -> QuadResult:
     """Integral of f over (0, infinity) by tanh-sinh quadrature.
 
     y = exp(pi/2 sinh t) maps the half-line onto t in R; the trapezoid
     rule in t starts at step 1/2 and halves it per level, evaluating only
-    the new odd multiples.  ``target_abs_tol`` is an optional absolute
-    escape for integrals whose true value may be zero, where a purely
-    relative criterion can never be met.
+    the new odd multiples.  The criterion is relative only, so an
+    integral whose value is zero never converges.
     """
     running = 0.0
     evals = 0
@@ -121,10 +119,9 @@ def integrate_semi_infinite(f: Callable[[float], float], *,
         value = h * running
         if level >= 1:
             diff = abs(value - prev)
-            tol = max(target_rel_tol * abs(value), target_abs_tol, 1e-300)
             # a subnormal value is mass the coarse levels missed, not zero
-            if level >= 2 and diff <= tol and (
-                    abs(value) >= _TINY or target_abs_tol > 0.0):
+            if (level >= 2 and abs(value) >= _TINY
+                    and diff <= target_rel_tol * abs(value)):
                 return QuadResult(value, max(diff, _EPS * abs(value)), evals)
         prev = value
     raise ConvergenceError(

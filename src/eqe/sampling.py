@@ -23,11 +23,9 @@ per thousand, in the cells next to the log-spaced edge knots) get four
 more steps and, if need be, bisection in one compact pass over all blocks.
 
 A draw takes its radius from the first n uniforms of the stream and its
-direction from the n*D normals after them.  The same seed gives the same
-draws within a version; between versions they may move in the last bits
-(4 ulps once; drawing in row blocks kept spherical draws byte-identical
-and moved a single elliptical draw by at most 1 ulp), or, where the knots
-move, by the CDF cubic's own error (see the README).
+direction from the n*D normals after them.  A seed gives the same draws
+within a version; across versions they may move within the inversion
+tolerance of a radius (see the README).
 """
 
 from __future__ import annotations

@@ -9,16 +9,16 @@ log of a value that is positive by construction:
 pcf_d_scaled = log(e**(z**2/4) D_nu(z)) and
 bessel_k_quarter_scaled = log(e**x K_{1/4}(x)).
 
-D_nu is evaluated by one route, its integral representation (DLMF 12.5.1)
+Each is evaluated by one route, an integral with a positive integrand, so
+no digits are lost to cancellation: DLMF 10.32.9 for K_{1/4}, and 12.5.1
 
     e**(z**2/4) D_nu(z) = Gamma(-nu)**-1 * integral over t > 0 of
                           t**(-nu-1) e**(-t**2/2 - z t) dt,
 
-whose integrand is positive for every real z, so no digits are lost to
-cancellation.  In u = ln t it is one smooth peak; the Gauss-Legendre
-panels that cover it are placed in closed form from its Laplace width and
-its known decay on either side.  The rule shares no code with the
-tanh-sinh oracle the closed forms are checked against.
+one smooth peak in u = ln t.  The Gauss-Legendre panels that cover either
+integrand are placed in closed form from its width and its known decay.
+The rule shares no code with the tanh-sinh oracle the closed forms are
+checked against, which computes nothing here.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .quadrature import gauss_legendre_panels
 
-_EPS = 2.220446049250313e-16
-_SQRT_2 = math.sqrt(2.0)
+# B_2, ..., B_16: at x >= 10 the first term left out is below 4e-18
+_BERNOULLI = (1/6, -1/30, 1/42, -1/30, 5/66, -691/2730, 7/6, -3617/510)
 # where the integrand is e**-46 of its peak, its remainder is below 1e-17
 _DROP = 46.0
 _REACH = math.sqrt(2.0 * _DROP)
@@ -189,61 +189,47 @@ def _panels(a: float, z: float) -> tuple:
     return u_star, t_star, log_f, np.array(edges), log_tail
 
 
-def _bessel_i_series(order: float, x: float) -> float:
-    t = math.exp(order * math.log(0.5 * x) - math.lgamma(1.0 + order))
-    total = t
-    q = 0.25 * x * x
-    for k in range(200):
-        t *= q / ((k + 1.0) * (k + 1.0 + order))
-        total += t
-        if abs(t) <= _EPS * abs(total):
-            return total
-    raise ConvergenceError(f"modified Bessel series stalled at x={x}")
-
-
 def bessel_k_quarter_scaled(x: float) -> float:
-    """Exponentially compensated K_{1/4}: log(e**x K_{1/4}(x)), x > 0.
+    """log(e**x K_{1/4}(x)) for finite x > 0, to 4e-16 of max(1, |value|),
+    by its integral over t > 0 of e**(-2 x sinh(t/2)**2) cosh(t/4).  That
+    is 1 at t = 0 and at most e**(t/4 - 2 x sinh(t/2)**2), so past T, where
+    2 x sinh(T/2)**2 = 46 + T/4, it is under e**-46 of its peak and falls
+    at least as fast as a Gaussian.  Panels min(1, T/8) wide cover [T - 10,
+    T], which holds the peak, and panels that double in width the rest."""
+    if not (math.isfinite(x) and x > 0.0):
+        raise DomainError(f"bessel_k_quarter requires a finite x > 0, got {x}")
+    rx = math.sqrt(2.0) * math.sqrt(x)  # 2 x overflows past 9e307
+    right = 0.0
+    for _ in range(3):  # fixed-point steps to T, from below
+        right = 2.0 * math.asinh(math.sqrt(_DROP + 0.25 * right) / rx)
+    width, edges = min(1.0, right / 8.0), [right]
+    while edges[-1] > 0.0:
+        width *= 2.0 if edges[-1] < right - 10.0 else 1.0
+        edges.append(max(0.0, edges[-1] - width))
 
-    Series difference of I_{-1/4} and I_{1/4} up to x = 2 (where the
-    cancellation costs under two digits), Temme/Thompson-Barnett continued
-    fraction beyond.  The continued fraction produces the e**(-x) decay as
-    an explicit log term, so the compensated value stays O(1) and callers
-    with a matching e**(+x) prefactor can cancel it analytically.
-    """
-    if not x > 0:
-        raise DomainError(f"bessel_k_quarter requires x > 0, got {x}")
-    if x <= 2.0:
-        diff = _bessel_i_series(-0.25, x) - _bessel_i_series(0.25, x)
-        # K_nu = pi/2 * (I_{-nu} - I_nu) / sin(nu pi); sin(pi/4) = sqrt(2)/2
-        val = math.pi / _SQRT_2 * diff
-        if val <= 0:
-            raise ConvergenceError(f"K_{{1/4}}({x}) series cancelled")
-        return math.log(val) + x
-    # CF2 continued fraction for K_mu, |mu| < 1/2 (Numerical Recipes bessik).
-    mu = 0.25
-    a1 = 0.25 - mu * mu
-    b = 2.0 * (1.0 + x)
-    d = 1.0 / b
-    h = delh = d
-    q1 = 0.0
-    q2 = 1.0
-    q = c = a1
-    a = -a1
-    s = 1.0 + q * delh
-    for i in range(2, 40001):
-        a -= 2.0 * (i - 1)
-        c = -a * c / i
-        qnew = (q1 - b * q2) / a
-        q1 = q2
-        q2 = qnew
-        q += c * qnew
-        b += 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        h += delh
-        dels = q * delh
-        s += dels
-        if abs(dels / s) < _EPS:
-            return 0.5 * math.log(0.5 * math.pi / x) - math.log(s)
-    raise ConvergenceError(f"K_{{1/4}} continued fraction stalled at x={x}",
-                           work=40000)
+    def log_f(t):  # log(2 cosh(t/4)), free of overflow, - 2 x sinh(t/2)**2
+        return (0.25 * t + np.log1p(np.exp(-0.5 * t))
+                - (rx * np.sinh(0.5 * t)) ** 2)
+
+    e = np.array(edges)
+    return math.log(0.5 * gauss_legendre_panels(log_f, e[1:], e[:-1]).sum())
+
+
+def _gamma_law(a: float) -> tuple:
+    """psi(a) and h(a) = a + lgamma(a) + (1 - a) psi(a), the entropy of
+    Gamma(a, 1), for a > 0: psi by recurrence up to x >= 10 and its series
+    there (DLMF 5.15.8); for a >= 10, h = 1/2 ln(2 pi a) + 1/2 - 1/(2a) +
+    S(a) + (a - 1) T(a), S and T the Stirling series of lgamma and psi."""
+    x, shift = a, 0.0
+    while x < 10.0:
+        x, shift = x + 1.0, shift + 1.0 / x
+    r = 1.0 / x
+    # the terms B_2k / (2k x**(2k-1)) of T(x) / r, k = 1..8
+    u = [b * r ** (2 * k - 1) / (2 * k) for k, b in enumerate(_BERNOULLI, 1)]
+    t = math.fsum(u)
+    psi = math.log(x) - (0.5 + t) * r - shift
+    if a < 10.0:
+        return psi, a + math.lgamma(a) + (1.0 - a) * psi
+    s = math.fsum(v / (2 * k - 1) for k, v in enumerate(u, 1))
+    return psi, (0.5 * (math.log(2.0 * math.pi) + math.log(a)) + 0.5
+                 - 0.5 * r + s + (1.0 - r) * t)

@@ -8,8 +8,11 @@ with D = -2 nu, lambda1 = -z and lambda2 = 1/2 (any other lambda2 follows
 by scaling q): Gamma(D/2 + j) / Gamma(D/2) D_{nu-j}(z) / D_nu(z); each row
 ends with that law's entropy, E[q**2] / 2 + z E[q] + log Z.  The other
 entropies and parameter_standard_errors (at n = 1) are those of rings of
-radius 1, lambda1 = alpha and lambda2 = alpha / 2.  The file records this script's sha256,
-so a stale file is caught without recomputing it.
+radius 1, lambda1 = alpha and lambda2 = alpha / 2.  Beside them: entropies
+of elliptical Gamma laws (sigma the identity, q ~ Gamma(a, scale=b)), from
+mpmath's loggamma and digamma, and log(e**x K_{1/4}(x)) from its besselk.
+The file records this script's sha256, so a stale file is caught without
+recomputing it.
 
     python tests/data/make_pcf_reference.py          # regenerate (mpmath)
     python tests/data/make_pcf_reference.py --check  # hash only, no mpmath
@@ -46,6 +49,12 @@ MOMENT_ARGS = [(-0.5 * d, z) for d in range(1, 13)
                for z in Z_GRID[-7:] + [10.0, 35.0, 100.0, 1e3, 1e4]] + DRAWS
 RING_ALPHAS = [10.0 ** k for k in range(4, 9)]
 SE_RINGS = [(d, 10.0 ** k) for d in (1, 2, 3, 5, 10) for k in (4, 6, 8)]
+# (D, a, b) of elliptical Gamma laws: small shapes, and the moment matches
+# of thin rings, where a is large and b small
+EG_LAWS = [(2, 0.05, 1.0), (5, 1e-3, 1.0), (3, 1e4, 1e-4), (3, 1e10, 1e-10),
+           (3, 1e12, 1e-12)]
+BESSEL_XS = [10.0 ** k for k in range(-300, 21, 10)] + [
+    0.05, 0.3, 1.9, 2.0, 2.1, 5.0, 50.0, 300.0, 3e3, 1e5]
 
 
 def script_sha256() -> str:
@@ -109,6 +118,29 @@ def standard_errors(dim: int, alpha: float, dps: int) -> list:
         return [mpmath.sqrt(h22 / det), mpmath.sqrt(h11 / det)]
 
 
+def eg_entropy(dim: int, a: float, b: float, dps: int):
+    """log S_{D-1} - ln 2 + a + lgamma(a) + (1 - a) psi(a) + (D/2 - 1)
+    psi(a) + (D/2) ln b; its terms reach a ln a, so log10 a more digits
+    are carried."""
+    import mpmath
+    with mpmath.workdps(dps + max(0, math.ceil(math.log10(a)))):
+        a, b, half = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(dim) / 2
+        psi = mpmath.digamma(a)
+        log_s = mpmath.log(2) + half * mpmath.log(mpmath.pi) - mpmath.loggamma(
+            half)
+        return (log_s - mpmath.log(2) + a + mpmath.loggamma(a)
+                + (1 - a) * psi + (half - 1) * psi + half * mpmath.log(b))
+
+
+def bessel_k(x: float, dps: int):
+    """x + log K_{1/4}(x); log K is near -x, so log10 x more digits are
+    carried."""
+    import mpmath
+    with mpmath.workdps(dps + max(0, math.ceil(math.log10(x)))):
+        y = mpmath.mpf(x)
+        return y + mpmath.log(mpmath.besselk(mpmath.mpf(1) / 4, y))
+
+
 def _checked(f, *args):
     v, w = f(*args, 40), f(*args, 50)
     for x, y in zip(v, w) if isinstance(v, list) else [(v, w)]:
@@ -126,6 +158,9 @@ def generate() -> dict:
                       for d in range(1, 13) for al in RING_ALPHAS]
     se_points = [[d, al, al / 2, *_checked(standard_errors, d, al)]
                  for d, al in SE_RINGS]
+    eg_entropy_points = [[d, a, b, _checked(eg_entropy, d, a, b)]
+                         for d, a, b in EG_LAWS]
+    bessel_k_points = [[x, _checked(bessel_k, x)] for x in BESSEL_XS]
     return {"script_sha256": script_sha256(), "digits": 40,
             "value": "log(exp(z**2/4) D_nu(z))",
             "columns": ["nu", "z", "log_value"],
@@ -134,8 +169,12 @@ def generate() -> dict:
             "entropy_columns": ["dim", "lambda1", "lambda2", "entropy"],
             "se_columns": ["dim", "lambda1", "lambda2", "se_lambda1",
                            "se_lambda2"],
+            "eg_entropy_columns": ["dim", "a", "b", "entropy"],
+            "bessel_k_columns": ["x", "log(exp(x) K_{1/4}(x))"],
             "points": points, "moment_points": moment_points,
-            "entropy_points": entropy_points, "se_points": se_points}
+            "entropy_points": entropy_points, "se_points": se_points,
+            "eg_entropy_points": eg_entropy_points,
+            "bessel_k_points": bessel_k_points}
 
 
 def main() -> int:
@@ -150,7 +189,8 @@ def main() -> int:
         return 0
     doc = generate()
     tables = [(key, doc.pop(key)) for key in
-              ("points", "moment_points", "entropy_points", "se_points")]
+              ("points", "moment_points", "entropy_points", "se_points",
+               "eg_entropy_points", "bessel_k_points")]
     OUT.write_text(json.dumps(doc)[:-1] + "".join(
         f', "{key}": [\n' + ",\n".join(json.dumps(r) for r in rows) + "\n]"
         for key, rows in tables) + "}\n")

@@ -109,3 +109,22 @@ def test_every_subcommand_exits_with_its_code_near_the_float_limits(
         assert res.exit_code in (0, 2, 3), (args, res.output, res.exception)
         assert res.exception is None or isinstance(res.exception,
                                                    SystemExit), args
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dim", [2, 3, 12])
+def test_marginal_takes_its_default_grid_where_r4_overflows(dim, tmp_path):
+    """At lambda2 = 5e-324 r is near 1e80, so E[r**4] overflows; logz,
+    entropy and sample succeed there, and so must marginal without
+    --rmax."""
+    law = tmp_path / "law.json"
+    law.write_text(json.dumps({"dim": dim, "param_form": "radial",
+                               "lambda1": 1e-300, "lambda2": 5e-324}))
+    res = CliRunner().invoke(cli.main, [
+        "marginal", "--params", str(law), "--dim1", "1", "--npts", "16",
+        "--out", str(tmp_path / "marginal.csv")])
+    assert res.exit_code == 0, (res.output, res.exception)
+    r1 = np.loadtxt(tmp_path / "marginal.csv", delimiter=",", skiprows=1)[:, 0]
+    scale = math.sqrt(core.radial_moment(core.RadialParams(dim, 1e-300,
+                                                           5e-324), 2))
+    assert r1[-1] == pytest.approx(2.0 * scale, rel=1e-15)

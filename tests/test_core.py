@@ -300,9 +300,28 @@ def test_d1_closed_form_against_pcf():
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
+def test_d1_closed_form_over_the_double_range():
+    """w = lambda1**2 / (8 lambda2) from 1e-250 to 1e250, at scales where
+    lambda1**2 alone leaves the double range; ConvergenceError where w
+    does."""
+    worst = 0.0
+    for log_w in range(-250, 251, 25):
+        for l2 in (1e-200, 1e-3, 1.0, 1e200):
+            l1 = -math.sqrt(8.0 * l2) * 10.0 ** (0.5 * log_w)
+            a = core.log_norm_const_d1_neg(l1, l2)
+            b = core.log_norm_const(core.RadialParams(1, l1, l2), "pcf")
+            worst = max(worst, abs(a - b) / max(1.0, abs(b)))
+    assert worst <= 1e-12
+    for l1, l2 in ((-1e-200, 1.0), (-1e-300, 1e300), (-1e200, 1e-200),
+                   (-1e300, 1e-300)):
+        with pytest.raises(ConvergenceError, match="w = lambda1"):
+            core.log_norm_const_d1_neg(l1, l2)
+
+
 def test_d1_closed_form_requires_negative_lambda1():
-    with pytest.raises(DomainError):
-        core.log_norm_const_d1_neg(1.0, 1.0)
+    for l1 in (1.0, 0.0, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            core.log_norm_const_d1_neg(l1, 1.0)
 
 
 def test_elliptical_log_norm_adds_half_log_det():
@@ -668,6 +687,43 @@ def test_eg_reference_from_moments_matches_targets():
 def test_eg_entropy_reference(dim, a, b, ref):
     eg = core.eg_reference(np.eye(dim), a, b)
     np.testing.assert_allclose(eg.entropy(), ref, rtol=1e-10)
+
+
+def test_eg_entropy_corpus():
+    """The frozen 40-digit entropies of pcf_reference.json, a from 1e-3 to
+    1e12, within 1e-13 of max(1, |H|)."""
+    for dim, a, b, ref in CORPUS["eg_entropy_points"]:
+        got = core.eg_reference(np.eye(dim), a, b).entropy()
+        assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), (a, b, got, ref)
+
+
+@pytest.mark.filterwarnings("error")
+def test_eg_entropy_at_extreme_shapes():
+    # finite and quiet at a = 1e300; a typed error where it overflows
+    eg = core.eg_reference(np.eye(3), 1e300, 1e-300)
+    assert math.isfinite(eg.entropy())
+    for dim in (2, 3):
+        with pytest.raises(ConvergenceError):
+            core.eg_reference(np.eye(dim), 5e-324, 1.0).entropy()
+
+
+@pytest.mark.parametrize("alpha", [1e4, 1e6, 1e8])
+def test_quartic_entropy_exceeds_its_moment_match_on_rings(alpha):
+    """The quartic law has the most entropy for its (E[q], E[q**2]), so the
+    elliptical Gamma law that matches them has less: on the rings (3,
+    alpha, 1) by 3.3e-5, 3.3e-7 and 3.3e-9 nats.  At alpha 1e8 the moment
+    pair's c4 - c2**2 keeps only ~8 digits of the variance, about 1e-8
+    nats of entropy, so the gap is also taken from the standard law's
+    central moments, which resolve it."""
+    p = core.ring_to_radial(core.RingParams(3, alpha, 1.0))
+    h = core.entropy(p)
+    mom = core.MomentPair(core.radial_moment(p, 2), core.radial_moment(p, 4))
+    assert h > core.eg_reference_from_moments(np.eye(3), mom).entropy()
+    _, _, t, (e1, e2, _, _) = core._standard(3, core._z(p))
+    s = math.sqrt(2.0 * p.lambda2)
+    mean, var = t * (1.0 + e1) / s, (t / s) ** 2 * (e2 - e1 * e1)
+    assert h > core.eg_reference(np.eye(3), mean * mean / var,
+                                 var / mean).entropy()
 
 
 def test_eg_density_normalizes():

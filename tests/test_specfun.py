@@ -163,5 +163,17 @@ def test_bessel_k_quarter_scaled_large_argument():
 
 
 def test_bessel_k_quarter_rejects_nonpositive():
-    with pytest.raises(DomainError):
-        specfun.bessel_k_quarter_scaled(0.0)
+    for x in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            specfun.bessel_k_quarter_scaled(x)
+
+
+def test_bessel_k_quarter_corpus():
+    """The frozen 40-digit log(e**x K_{1/4}(x)) of pcf_reference.json, for
+    x from 1e-300 to 1e20, within 1e-15 of max(1, |log|)."""
+    path = Path(__file__).parent / "data" / "pcf_reference.json"
+    with open(path) as f:
+        points = json.load(f)["bessel_k_points"]
+    for x, ref in points:
+        got = specfun.bessel_k_quarter_scaled(x)
+        assert abs(got - ref) <= 1e-15 * max(1.0, abs(ref)), (x, got, ref)
