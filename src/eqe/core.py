@@ -313,7 +313,7 @@ def _log_z_quadrature(dim: int, z: float) -> float:
             u = scale * s
             return np.exp(power * np.log(s) - u * (z + 0.5 * u) - off)
 
-    res = quadrature.integrate_semi_infinite(integrand, target_rel_tol=1e-11)
+    res = quadrature.integrate_semi_infinite(integrand)
     if not res.value > 0.0:
         raise ConvergenceError(f"quadrature gave a nonpositive integral for "
                                f"dim={dim}, z={z}")
@@ -582,7 +582,14 @@ def eg_reference(sigma: np.ndarray, a: float, b: float
 
 def eg_reference_from_moments(sigma: np.ndarray, moments: MomentPair
                               ) -> EllipticalGammaReference:
-    """The EG distribution matching E[q] = c2 and E[q**2] = c4 exactly."""
+    """The EG distribution matching E[q] = c2 and E[q**2] = c4 exactly.
+
+    The shape a = c2**2 / (c4 - c2**2) takes the variance as a difference
+    of rounded moments, so it keeps about 16 + log10(1 / (a + 1)) digits:
+    about 8 on the ring (3, alpha 1e8, R 1), where the matched entropy is
+    then about 1.2e-8 nats off.  Build it with eg_reference from the
+    variance itself where that matters.
+    """
     excess = moments.c4 - moments.c2 * moments.c2
     return eg_reference(sigma, moments.c2 * moments.c2 / excess,
                         excess / moments.c2)

@@ -1,16 +1,18 @@
 """Two deterministic quadrature rules that share no code.
 
-integrate_semi_infinite is adaptive double-exponential (tanh-sinh)
-quadrature over (0, infinity), used only as the independent oracle that
-the closed-form routes are tested against (log_norm_const's "quadrature"
-method), so this module deliberately depends on nothing else in the
-package.  The trapezoid rule in the transformed variable is refined by
-halving the step; previously evaluated nodes are reused, the result is a
-pure function of the integrand and tolerances, and the error estimate is
-the standard last-level difference.  Integrable endpoint singularities up
-to y**(-1/2) are absorbed by the double-exponential weight decay.  The
-nodes and weights of levels 0-10 (about 300 KB) are built once and kept
-read-only; deeper levels, which no log Z reaches, are built per call.
+integrate_semi_infinite is double-exponential (tanh-sinh) quadrature over
+(0, infinity), used only as the independent oracle that the closed-form
+routes are tested against (log_norm_const's "quadrature" method), so this
+module deliberately depends on nothing else in the package.  It is one
+fixed rule: the trapezoid rule in the transformed variable is refined by
+halving the step, reusing the nodes already evaluated, until two levels
+agree to 1e-11 relative, or it raises ConvergenceError at level 12
+(78,643 evaluations; every log Z stops by level 5, 615 evaluations).  The
+result is a pure function of the integrand, which maps an array of nodes
+to an array of values, and the error estimate is the last-level
+difference.  Integrable endpoint singularities up to y**(-1/2) are
+absorbed by the double-exponential weight decay.  Each level's nodes and
+weights are built once and kept read-only: about 1.3 MB for all 13.
 
 gauss_legendre_panels is a fixed 24-point Gauss-Legendre rule on panels
 the caller places around a smooth, already located peak: the integrals of
@@ -33,8 +35,8 @@ _TINY = 2.2250738585072014e-308  # the smallest normal float
 _HALF_PI = 0.5 * math.pi
 _BASE_STEP = 0.5
 _T_MAX = 4.8
-_MAX_LEVEL = 16
-_CACHED_LEVEL = 10
+_MAX_LEVEL = 12
+_REL_TOL = 1e-11
 # numpy.polynomial.legendre.leggauss(24), frozen (it is symmetric bit for
 # bit), so that no process imports numpy.polynomial and its LAPACK call
 _GL_HALF = np.array([float.fromhex(v) for v in """
@@ -56,13 +58,12 @@ class QuadResult:
     evaluations: int
 
 
-def _evaluate(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:
-    try:
-        y = np.asarray(f(x), dtype=float)
-        if y.shape != x.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        y = np.array([float(f(v)) for v in x])
+def _evaluate(f: Callable[[np.ndarray], np.ndarray],
+              x: np.ndarray) -> np.ndarray:
+    y = np.asarray(f(x), dtype=float)
+    if y.shape != x.shape:
+        raise TypeError(f"the integrand must map an array of nodes to an "
+                        f"array of their shape, got shape {y.shape}")
     if not np.all(np.isfinite(y)):
         bad = x[~np.isfinite(y)][0]
         raise DomainError(f"integrand returned a non-finite value at x={bad!r}")
@@ -85,9 +86,8 @@ def _level_nodes(level: int) -> tuple:
     return nodes
 
 
-def integrate_semi_infinite(f: Callable[[float], float], *,
-                            target_rel_tol: float = 1e-10,
-                            max_evaluations: int = 10 ** 6) -> QuadResult:
+def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray]
+                            ) -> QuadResult:
     """Integral of f over (0, infinity) by tanh-sinh quadrature.
 
     y = exp(pi/2 sinh t) maps the half-line onto t in R; the trapezoid
@@ -98,17 +98,8 @@ def integrate_semi_infinite(f: Callable[[float], float], *,
     running = 0.0
     evals = 0
     prev = math.inf
-    value = math.nan
-    diff = math.inf
     for level in range(_MAX_LEVEL + 1):
-        h = _BASE_STEP / 2 ** level
-        # the levels past _CACHED_LEVEL, which no log Z reaches, are not kept
-        y, w_hi, w_lo = (_level_nodes(level) if level <= _CACHED_LEVEL
-                         else _level_nodes.__wrapped__(level))
-        if evals + y.size > max_evaluations:
-            raise ConvergenceError(
-                "quadrature evaluation budget exhausted",
-                best_estimate=QuadResult(value, diff, evals), work=evals)
+        y, w_hi, w_lo = _level_nodes(level)
         evals += y.size
         fy = _evaluate(f, y)
         k = w_hi.size
@@ -116,16 +107,15 @@ def integrate_semi_infinite(f: Callable[[float], float], *,
         if level == 0:
             terms = np.append(terms, _HALF_PI * fy[-1])
         running += float(np.sum(terms))
-        value = h * running
-        if level >= 1:
-            diff = abs(value - prev)
-            # a subnormal value is mass the coarse levels missed, not zero
-            if (level >= 2 and abs(value) >= _TINY
-                    and diff <= target_rel_tol * abs(value)):
-                return QuadResult(value, max(diff, _EPS * abs(value)), evals)
+        value = _BASE_STEP / 2 ** level * running
+        diff = abs(value - prev)
+        # a subnormal value is mass the coarse levels missed, not zero
+        if (level >= 2 and abs(value) >= _TINY
+                and diff <= _REL_TOL * abs(value)):
+            return QuadResult(value, max(diff, _EPS * abs(value)), evals)
         prev = value
     raise ConvergenceError(
-        "quadrature failed to converge to the requested tolerance",
+        "quadrature evaluation budget exhausted",
         best_estimate=QuadResult(value, diff, evals), work=evals)
 
 

@@ -138,8 +138,8 @@ def test_criterion_5_scalar_marginal_bimodality(report):
         condmarg.marginal_log_density(p, split, np.array([r_star]))
         - condmarg.marginal_log_density(p, split, np.array([-r_star])))
     total = 2.0 * quadrature.integrate_semi_infinite(
-        lambda x: math.exp(
-            condmarg.marginal_log_density(p, split, np.array([x])))).value
+        lambda x: np.exp([condmarg.marginal_log_density(p, split, [xi])
+                          for xi in x])).value
     mass_dev = abs(total - 1.0)
     ok = two_peaks and sym_dev < 1e-12 and mass_dev <= 1e-8
     verdict(report, 5, "scalar marginal bimodality", ok,

@@ -124,10 +124,10 @@ def test_marginal_normalizes(dim, d1):
     split = BlockSplit(d1, dim - d1)
 
     def radial_mass(r):
-        x1 = np.zeros(d1)
-        x1[0] = r
-        log_m = condmarg.marginal_log_density(p, split, x1)
-        return math.exp((d1 - 1) * math.log(r) + log_m) if r > 0 else 0.0
+        # marginal_log_density takes one point; every node r is positive
+        log_m = [condmarg.marginal_log_density(p, split, np.eye(d1)[0] * ri)
+                 for ri in r]
+        return np.exp((d1 - 1) * np.log(r) + log_m)
 
     area = core.sphere_surface_area(d1 - 1)
     res = quadrature.integrate_semi_infinite(radial_mass)

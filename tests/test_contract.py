@@ -4,10 +4,11 @@ A seeded sweep of laws with D 1-12, |z| <= 1e4 and lambda2 log-uniform in
 1e+-300, under warnings as errors: each public route returns a finite value
 (or -inf for a density) or raises DomainError or ConvergenceError, the
 quadrature log Z agrees with the pcf one wherever that succeeds, and
-sample succeeds wherever pcf log Z does.  Beyond that domain, near the
-float limits, only the first holds, and each CLI subcommand exits with its
-documented code.  Nowhere does pcf log Z raise ConvergenceError: there is
-no other route for "auto" to fall back to.
+sample succeeds wherever pcf log Z does; every quadrature log Z stops by
+tanh-sinh level 5.  Beyond that domain, near the float limits, only the
+first holds, and each CLI subcommand exits with its documented code.
+Nowhere does pcf log Z raise ConvergenceError: there is no other route for
+"auto" to fall back to.
 """
 
 import json
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from eqe import cli, core, fit, sampling
+from eqe import cli, core, fit, quadrature, sampling
 from eqe.errors import ConvergenceError, DomainError
 
 
@@ -72,6 +73,24 @@ def test_every_route_returns_a_finite_value_or_a_typed_error():
                                                  np.full(p.dim, 1e300))))
         assert not np.any(np.isnan(density) | (density == np.inf)), p
         assert density[-1] == -np.inf
+
+
+def test_every_quadrature_log_z_stops_by_level_5(monkeypatch):
+    """Each quadrature log Z of the sweep takes at most 615 evaluations,
+    levels 0-5 of tanh-sinh, far below the rule's cap of 78,643."""
+    spent = []
+
+    def counted(f):
+        res = integrate(f)
+        spent.append(res.evaluations)
+        return res
+
+    integrate = quadrature.integrate_semi_infinite
+    monkeypatch.setattr(quadrature, "integrate_semi_infinite", counted)
+    laws = _laws(300, 17)
+    for p in laws:
+        core._log_z_quadrature.__wrapped__(p.dim, core._z(p))
+    assert len(spent) == len(laws) and max(spent) <= 615
 
 
 NEAR_LIMITS = pytest.mark.parametrize("l1,l2", [

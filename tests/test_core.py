@@ -191,8 +191,8 @@ def test_quadrature_log_z_is_cheap_on_rings(monkeypatch, dim, alpha, radius):
     tanh-sinh's coarse levels at any contrast."""
     spent = []
 
-    def counted(f, **kw):
-        res = integrate(f, **kw)
+    def counted(f):
+        res = integrate(f)
         spent.append(res.evaluations)
         return res
 
@@ -200,7 +200,8 @@ def test_quadrature_log_z_is_cheap_on_rings(monkeypatch, dim, alpha, radius):
     monkeypatch.setattr(quadrature, "integrate_semi_infinite", counted)
     p = core.ring_to_radial(core.RingParams(dim, alpha, radius))
     core._log_z_quadrature.__wrapped__(p.dim, core._z(p))
-    assert len(spent) == 1 and spent[0] <= 1000
+    # levels 0-3 of the z-map
+    assert spent == [153]
 
 
 @pytest.mark.parametrize("radius", [0.5, 1.0, 2.0])
@@ -216,7 +217,7 @@ def test_d1_rings_below_the_width_map_agree_with_pcf(alpha, radius):
 
 def test_quadrature_log_z_rejects_nonpositive_integral(monkeypatch):
     monkeypatch.setattr(quadrature, "integrate_semi_infinite",
-                        lambda f, **kw: quadrature.QuadResult(0.0, 0.0, 1))
+                        lambda f: quadrature.QuadResult(0.0, 0.0, 1))
     with pytest.raises(ConvergenceError):
         core.log_norm_const(core.RadialParams(2, 1.25, 0.75), "quadrature")
 
@@ -501,7 +502,9 @@ def test_density_normalizes():
     area = core.sphere_surface_area(2)
 
     def radial_mass(r):
-        return area * r ** 2 * float(core.density(p, np.array([r, 0.0, 0.0])))
+        x = np.zeros((r.size, 3))
+        x[:, 0] = r
+        return area * r ** 2 * core.density(p, x)
 
     res = quadrature.integrate_semi_infinite(radial_mass)
     np.testing.assert_allclose(res.value, 1.0, rtol=1e-9)
@@ -731,7 +734,9 @@ def test_eg_density_normalizes():
     area = core.sphere_surface_area(1)
 
     def radial_mass(r):
-        return area * r * math.exp(eg.log_density(np.array([r, 0.0])))
+        x = np.zeros((r.size, 2))
+        x[:, 0] = r
+        return area * r * np.exp(eg.log_density(x))
 
     res = quadrature.integrate_semi_infinite(radial_mass)
     np.testing.assert_allclose(res.value, 1.0, rtol=1e-9)
