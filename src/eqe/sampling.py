@@ -1,26 +1,25 @@
 """Exact sampling by tabulated inverse CDF of the radial law.
 
 Directions on the sphere are trivial (normalized Gaussians); all the work
-is in the radius r, whose density is proportional to
-r**(D-1) exp(lambda1 r**2 - lambda2 r**4), or, in rho = (2 lambda2)**(1/4)
-r, the standard law rho**(D-1) e**(-z rho**2 - rho**4 / 2) of shape (D, z)
-at any scale.  The table is built in rho, and its radii scaled once, in one
-Gauss-Legendre pass over a pilot grid: a uniform grid on [0, r_max] joined
-with a finer one over +-40 Laplace widths of the density's peak, so thin
-rings are resolved.  Knots go uniformly in the pilot CDF (log-spaced in
-both tails), and each knot's CDF is the pilot mass up to its pilot cell
-plus one panel to the knot, near machine accuracy.  A cubic Hermite
-interpolant with exact density derivatives represents the CDF between
-knots; the table builds each cell's cubic once.  Inversion finds each
-level's knot cell through a guide index (Chen & Asau 1974; Devroye 1986,
-sec. III.2.4): [0, 1] is cut into 4096 equal buckets, each recording the
-last knot at or below its left edge, and a level steps on from its
-bucket's knot past the few knots inside the bucket.  In the cell one
-clamped Newton step runs from a seed, the inverse's own cubic Hermite, in
-blocks that stay in cache.  Levels whose residual is still above the
-cell's tolerance (1e-9 of its mass plus 4 ulps of its upper CDF; a few
-per thousand, in the cells next to the log-spaced edge knots) get four
-more steps and, if need be, bisection in one compact pass over all blocks.
+is in the radius r, whose density is proportional to r**(D-1) exp(lambda1
+r**2 - lambda2 r**4).  In u = sqrt(2 lambda2) r**2 that is the standard law
+u**(D/2-1) e**(-z u - u**2/2) of shape (D, z), whose integral is log Z's,
+and the table is built on that integral's own Gauss-Legendre panels, in d =
+ln(u / t*): each panel is cut into 64 equal sub-panels, integrated in one
+pass.  Knots go uniformly in the CDF (log-spaced in both tails), and each
+knot's CDF is the sub-panel mass up to its sub-panel plus one panel to the
+knot, near machine accuracy.  A cubic Hermite interpolant with exact
+density derivatives represents the CDF between knots; the table builds each
+cell's cubic once.  Inversion finds each level's knot cell through a guide
+index (Chen & Asau 1974; Devroye 1986, sec. III.2.4): [0, 1] is cut into
+4096 equal buckets, each recording the last knot at or below its left edge,
+and a level steps on from its bucket's knot past the few knots inside the
+bucket.  In the cell one clamped Newton step runs from a seed, the
+inverse's own cubic Hermite, in blocks that stay in cache.  Levels whose
+residual is still above the cell's tolerance (1e-9 of its mass plus 4 ulps
+of its upper CDF; a few per thousand, in the cells next to the log-spaced
+edge knots) get four more steps and, if need be, bisection in one compact
+pass over all blocks.
 
 A draw takes its radius from the first n uniforms of the stream and its
 direction from the n*D normals after them.  A seed gives the same draws
@@ -37,11 +36,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import core, specfun
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .quadrature import gauss_legendre_panels
 
-_TAIL_MASS = 1e-14
-_PILOT_PANELS = 4096
+_SUB = 64  # equal sub-panels per panel of log Z's integral
 _N_KNOTS = 2048
 _GUIDE = 4096  # a power of two: u * _GUIDE and its floor are exact
 
@@ -66,52 +64,6 @@ def _as_rng(gen) -> np.random.Generator:
     raise DomainError(
         f"gen must be an integer seed, a SeededGenerator or a "
         f"numpy Generator, got {type(gen)!r}")
-
-
-def _radial_profile(p: core.RadialParams, scale: float) -> tuple:
-    """g = (D-1) ln rho + lambda1 (scale rho)^2 - lambda2 (scale rho)^4,
-    rho = r / scale, about its peak: rho* (0 only for D = 1), g and -g''
-    there, and g less its peak value as a function of rho (-inf at 0 for
-    D >= 2).  That is core._about_peak's form with s - 1 = t / y*, y* =
-    rho*^2: power ln s + t (c - t / 2), t = rho^2 - y*, power = (D-1)/2,
-    c = lambda1 scale^2 - 2 lambda2 scale^4 y*; it needs no y*^2, which
-    underflows when D = 1 and z is tiny."""
-    power, z = 0.5 * (p.dim - 1), core._z(p)
-    y_peak, shift, a, _ = core._about_peak(power, z)
-    r_peak = math.sqrt(y_peak)
-    # c exactly (int division rounds correctly): its rounding, or z's, would
-    # move a ring of alpha 1e8 by ~1e-12 of its width and its CDF as much
-    (n1, d1), (n2, d2), (nk, dk), (ny, dy) = (
-        v.as_integer_ratio() for v in (p.lambda1, p.lambda2, scale, y_peak))
-    c = ((n1 * d2 * dk ** 2 * dy - 2 * n2 * nk ** 2 * ny * d1) * nk ** 2
-         / (d1 * d2 * dk ** 4 * dy))
-
-    def log_f(r):
-        t = r * r - y_peak
-        with np.errstate(divide="ignore"):
-            log_term = 2.0 * power * np.log(r / r_peak) if power else 0.0
-        return log_term + t * (c - 0.5 * t)
-    curvature = 4.0 * (power + 2.0 * a) / y_peak if y_peak else 2.0 * z
-    return r_peak, shift, curvature, log_f
-
-
-def _tail_cutoff(dim: int, z: float, log_f, log_mass: float,
-                 r_peak: float) -> float:
-    """Standard radius beyond which the remaining mass of exp(log_f) is
-    below _TAIL_MASS of exp(log_mass), its integral.
-
-    Uses the bound integral_r^inf e^g <= e^g(r) / |g'(r)|, valid once g
-    is decreasing and concave, which holds past the peak.
-    """
-    target = log_mass + math.log(_TAIL_MASS) - 2.0
-    r = r_peak + 1.0
-    for _ in range(300):
-        g = float(log_f(r))
-        slope = abs((dim - 1) / r - 2.0 * z * r - 2.0 * r ** 3)
-        if g - math.log(max(slope, 1e-300)) <= target:
-            return r
-        r *= 1.15
-    raise ConvergenceError(f"cannot bound the radial tail of D={dim}, z={z}")
 
 
 def _hermite(coef: tuple, t, slope: bool = False):
@@ -257,72 +209,91 @@ class RadialCdfTable:
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    """np.unique for finite floats, without the numpy.ma import that
-    np.unique and np.union1d trigger on first use."""
+    """np.unique for floats, without the numpy.ma import that np.unique and
+    np.union1d trigger on first use."""
     a = np.sort(a)
     return a[np.concatenate(([True], a[1:] != a[:-1]))]
 
 
 def build_radial_table(params: core.Params) -> RadialCdfTable:
-    """Build the radial inverse-CDF table in the standard radius rho = r /
-    scale, scale = (2 lambda2)**(-1/4), where the law is the standard law
-    of shape (D, z) to within rounding, and scale its radii once.
+    """Build the radial inverse-CDF table on the panels of log Z's own
+    integral, specfun._panels(D/2, z).
 
-    The tail beyond the last knot carries less than 1e-14 of the mass;
-    the table treats the CDF there as exactly 1.
+    With u = t* e**d and r = r* e**(d/2), r* = (2 lambda2)**(-1/4)
+    sqrt(t*), the radial law in d is that integral's integrand plus g E,
+    E = expm1(d): g = lambda1 r*^2 - 2 lambda2 r*^4 + D/2, formed exactly,
+    takes out the rounding of z, t* and r*.  The total mass is the panels'
+    sum, plus the closed-form tail left of them where there is one.  The
+    panels end where the integrand is under e**-46 of its peak: the tail
+    beyond the last knot carries less than 1e-14 of the mass, and the
+    table treats the CDF there as exactly 1.
     """
     p = params.radial
-    z, scale = core._z(p), (2.0 * p.lambda2) ** -0.25
-    log_norm = core._standard(p.dim, z)[0] - core._LN_2  # log I / 2
-    r_peak, shift, curvature, log_f = _radial_profile(p, scale)
-    r_max = _tail_cutoff(p.dim, z, log_f, log_norm - shift, r_peak)
+    z = core._z(p)
+    # log of the integral of r**(D-1) e**(lambda1 r**2 - lambda2 r**4)
+    log_norm = (core._standard(p.dim, z)[0] - core._LN_2
+                - 0.25 * p.dim * math.log(2.0 * p.lambda2))
+    _, t_star, log_f, edges, log_tail = specfun._panels(0.5 * p.dim, z)
+    r_star = (2.0 * p.lambda2) ** -0.25 * math.sqrt(t_star)
+    (n1, d1), (n2, d2), (nr, dr) = (
+        v.as_integer_ratio() for v in (p.lambda1, p.lambda2, r_star))
+    g = ((2 * n1 * d2 * dr ** 2 - 4 * n2 * nr ** 2 * d1) * nr ** 2
+         + p.dim * d1 * d2 * dr ** 4) / (2 * d1 * d2 * dr ** 4)
 
-    # a uniform grid, refined over +-40 Laplace widths of the peak so that
-    # thin rings are resolved too
-    half = 40.0 / math.sqrt(curvature) if curvature > 0 else r_max
-    pilot = _sorted_unique(np.concatenate((
-        np.linspace(0.0, r_max, _PILOT_PANELS + 1),
-        np.linspace(max(r_peak - half, 0.0), min(r_peak + half, r_max),
-                    _PILOT_PANELS + 1))))
-    pilot_cum = np.concatenate(([0.0], np.cumsum(
-        gauss_legendre_panels(log_f, pilot[:-1], pilot[1:]))))
-    total = pilot_cum[-1]
-    # both log masses carry rounding of a few ulps of their size
-    resid = (abs(shift + math.log(total) - log_norm) if total > 0.0
-             else math.inf)
-    if resid > max(1e-8, 8.0 * math.ulp(max(abs(shift), abs(log_norm)))):
-        raise ConvergenceError(
-            f"radial CDF normalization disagrees with log_norm_const by "
-            f"{resid:.2e} for {p}")
+    def law(d):
+        return log_f(d) + g * np.expm1(d)
+
+    # each panel cut into _SUB equal sub-panels, ascending in d; the mass
+    # below the first is the closed-form tail's, if any
+    e = edges[::-1]
+    grid = np.append((e[:-1, None] + np.diff(e)[:, None]
+                      * (np.arange(_SUB) / _SUB)).ravel(), e[-1])
+    tail = math.exp(log_tail) if log_tail is not None else 0.0
+    mass = gauss_legendre_panels(law, grid[:-1], grid[1:])
+    cum = np.concatenate(([tail], tail + np.cumsum(mass)))
+    total = cum[-1]
 
     # mostly uniform in CDF, with log-spaced targets at both ends so that
     # steep density edges (sharp rings) keep knots through the "dead" zone;
     # a decade apart, the density changes little enough across an edge
-    # cell for the cubic there to stay monotone
-    edge = np.logspace(-13.0, -4.0, 10)
+    # cell for the cubic there to stay monotone.  They reach 1e-16 below,
+    # under the least positive uniform (2**-53), so that only u = 0 falls
+    # in the cell at r = 0, and 1 - 1e-13 above, which a CDF resolves
+    edge = np.logspace(-16.0, -4.0, 13)
+    tails = np.concatenate((edge, 1.0 - edge[3:]))
     targets = _sorted_unique(np.concatenate(
-        [edge, np.linspace(0.0, 1.0, _N_KNOTS - 2 * edge.size),
-         1.0 - edge[::-1]]))
-    knots = np.interp(targets, pilot_cum / total, pilot)
-    knots[0], knots[-1] = 0.0, r_max
-    knots = _sorted_unique(knots)
+        (tails, np.linspace(0.0, 1.0, _N_KNOTS - tails.size))))
+    # each placed by the log of the mass below it, or in the upper half of
+    # the mass above it, summed from that end: near linear in both tails
+    above = np.append(np.cumsum(mass[::-1])[::-1], 0.0)
+    with np.errstate(divide="ignore"):  # log 0 at the ends
+        d = np.where(targets > 0.5, np.interp(
+            -np.log1p(-targets), math.log(total) - np.log(above), grid),
+            np.interp(np.log(targets), np.log(cum / total), grid))
+    d[0], d[-1] = -np.inf, grid[-1]  # r = 0 and the panels' end
+    d = _sorted_unique(d)
+    # each radius once: r* w, with w = e**(d/2) off 1 + expm1(d/2) by its
+    # rounding; err is the exact radius less the knot
+    w = np.exp(0.5 * d)
+    knots, err = specfun._two_prod(r_star, w)
+    err += r_star * (np.expm1(0.5 * d) - (w - 1.0))
+    keep = np.diff(knots, prepend=-1.0) > 0.0
+    d, knots, err = d[keep], knots[keep], err[keep]
 
-    # the pilot's mass up to each knot's cell plus one panel to the knot
-    cell = np.minimum(np.searchsorted(pilot, knots, side="right") - 1,
-                      pilot.size - 2)
-    cum = pilot_cum[cell] + gauss_legendre_panels(log_f, pilot[cell], knots)
-    cdf = np.minimum(cum / total, 1.0)
-    cdf[-1] = 1.0
-    pdf = np.exp(log_f(knots)) / total
-    # each scaled knot is off knot * scale by its rounding, which moves a
-    # thin ring's CDF there by up to ~1e-12: take out the density times
-    # that rounding error, exact by Dekker's product
-    scaled, err = specfun._two_prod(knots, scale)
-    cdf[1:-1] -= pdf[1:-1] * err[1:-1] / scale
+    # the sub-panel mass up to each knot's sub-panel plus one panel to it
+    mid = d[1:-1]
+    j = np.searchsorted(grid, mid, side="right") - 1
+    cdf = np.concatenate((
+        [0.0], (cum[j] + gauss_legendre_panels(law, grid[j], mid)) / total,
+        [1.0]))
+    pdf = np.concatenate((
+        [math.exp(-log_norm) if p.dim == 1 else 0.0],
+        2.0 * np.exp(law(d[1:])) / (total * knots[1:])))
+    # the density times the rounding of each knot, out of its CDF
+    cdf[1:-1] -= pdf[1:-1] * err[1:-1]
     return RadialCdfTable(
-        params=p, knots=scaled, cdf_values=cdf, pdf_values=pdf / scale,
-        r_max=r_max * scale,
-        log_norm=log_norm - 0.25 * p.dim * math.log(2.0 * p.lambda2))
+        params=p, knots=knots, cdf_values=np.minimum(cdf, 1.0),
+        pdf_values=pdf, r_max=float(knots[-1]), log_norm=log_norm)
 
 
 @lru_cache(maxsize=64)

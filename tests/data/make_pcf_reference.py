@@ -10,7 +10,10 @@ ends with that law's entropy, E[q**2] / 2 + z E[q] + log Z.  The other
 entropies and parameter_standard_errors (at n = 1) are those of rings of
 radius 1, lambda1 = alpha and lambda2 = alpha / 2.  Beside them: entropies
 of elliptical Gamma laws (sigma the identity, q ~ Gamma(a, scale=b)), from
-mpmath's loggamma and digamma, and log(e**x K_{1/4}(x)) from its besselk.
+mpmath's loggamma and digamma, log(e**x K_{1/4}(x)) from its besselk, and
+quantiles of the standard radius rho, whose density is proportional to
+rho**(D-1) e**(-z rho**2 - rho**4/2) (lambda1 = -z, lambda2 = 1/2), by
+root-finding on its quad-integrated lower or upper tail.
 The file records this script's sha256, so a stale file is caught without
 recomputing it.
 
@@ -55,6 +58,13 @@ EG_LAWS = [(2, 0.05, 1.0), (5, 1e-3, 1.0), (3, 1e4, 1e-4), (3, 1e10, 1e-10),
            (3, 1e12, 1e-12)]
 BESSEL_XS = [10.0 ** k for k in range(-300, 21, 10)] + [
     0.05, 0.3, 1.9, 2.0, 2.1, 5.0, 50.0, 300.0, 3e3, 1e5]
+# (D, z) of the radius quantiles: rings of radius 1 (z = -sqrt(alpha)),
+# box laws and near-Gaussian laws; levels in both tails and the bulk
+QUANTILE_LAWS = [(d, -math.sqrt(10.0 ** k)) for k in (4, 6, 8)
+                 for d in (1, 2, 3)] + [
+    (1, 0.0), (2, -2.0), (3, 1.0), (5, -0.5), (12, 4.0)] + [
+    (d, z) for z in (1e3, 1e4) for d in (1, 2, 3)]
+QUANTILE_LEVELS = [1e-12, 1e-6, 0.01, 0.5, 0.99, 1 - 1e-6, 1 - 1e-12]
 
 
 def script_sha256() -> str:
@@ -141,6 +151,46 @@ def bessel_k(x: float, dps: int):
         return y + mpmath.log(mpmath.besselk(mpmath.mpf(1) / 4, y))
 
 
+def radius_quantile(dim: int, z: float, level: float, dps: int):
+    """rho at which the standard radius law of shape (D, z) has CDF
+    ``level`` (its upper tail 1 - level above 1/2), by Anderson's bracketed
+    root of the log tail mass; quad splits its integrals at +-2..40 widths
+    of the density's peak."""
+    import mpmath
+    with mpmath.workdps(dps):
+        z, p, c = mpmath.mpf(z), mpmath.mpf(level), mpmath.mpf(dim - 1)
+        # the peak y = rho**2, cancellation-free, and the width about it
+        y = ((mpmath.sqrt(z * z + 2 * c) - z) / 2 if z <= 0
+             else c / (z + mpmath.sqrt(z * z + 2 * c)))
+        peak, width = mpmath.sqrt(y), 1 / mpmath.sqrt(abs(2 * z) + 6 * y + 1)
+        shift = z * y + y * y / 2
+
+        def f(s):
+            return s ** (dim - 1) * mpmath.exp(shift - z * s * s - s ** 4 / 2)
+
+        pts = [t for t in (peak + k * width for k in (
+            -40, -20, -10, -5, -2, 0, 2, 5, 10, 20, 40)) if t > 0]
+        total = mpmath.quad(f, [0] + pts + [mpmath.inf])
+        upper = p > 0.5
+
+        def g(x):  # increasing in x
+            if upper:
+                m = mpmath.quad(f, [x] + [t for t in pts if t > x]
+                                + [mpmath.inf])
+                return mpmath.log(1 - p) - mpmath.log(m / total)
+            m = mpmath.quad(f, [0] + [t for t in pts if t < x] + [x])
+            return mpmath.log(m / total) - mpmath.log(p)
+
+        lo = hi = peak + width
+        step = width
+        while g(lo) > 0:
+            lo, step = max(lo - step, lo / 8), 2 * step
+        step = width
+        while g(hi) < 0:
+            hi, step = hi + step, 2 * step
+        return mpmath.findroot(g, (lo, hi), solver="anderson")
+
+
 def _checked(f, *args):
     v, w = f(*args, 40), f(*args, 50)
     for x, y in zip(v, w) if isinstance(v, list) else [(v, w)]:
@@ -161,6 +211,8 @@ def generate() -> dict:
     eg_entropy_points = [[d, a, b, _checked(eg_entropy, d, a, b)]
                          for d, a, b in EG_LAWS]
     bessel_k_points = [[x, _checked(bessel_k, x)] for x in BESSEL_XS]
+    quantile_points = [[d, z, p, _checked(radius_quantile, d, z, p)]
+                       for d, z in QUANTILE_LAWS for p in QUANTILE_LEVELS]
     return {"script_sha256": script_sha256(), "digits": 40,
             "value": "log(exp(z**2/4) D_nu(z))",
             "columns": ["nu", "z", "log_value"],
@@ -171,10 +223,12 @@ def generate() -> dict:
                            "se_lambda2"],
             "eg_entropy_columns": ["dim", "a", "b", "entropy"],
             "bessel_k_columns": ["x", "log(exp(x) K_{1/4}(x))"],
+            "quantile_columns": ["dim", "z", "level", "rho"],
             "points": points, "moment_points": moment_points,
             "entropy_points": entropy_points, "se_points": se_points,
             "eg_entropy_points": eg_entropy_points,
-            "bessel_k_points": bessel_k_points}
+            "bessel_k_points": bessel_k_points,
+            "quantile_points": quantile_points}
 
 
 def main() -> int:
@@ -190,7 +244,7 @@ def main() -> int:
     doc = generate()
     tables = [(key, doc.pop(key)) for key in
               ("points", "moment_points", "entropy_points", "se_points",
-               "eg_entropy_points", "bessel_k_points")]
+               "eg_entropy_points", "bessel_k_points", "quantile_points")]
     OUT.write_text(json.dumps(doc)[:-1] + "".join(
         f', "{key}": [\n' + ",\n".join(json.dumps(r) for r in rows) + "\n]"
         for key, rows in tables) + "}\n")

@@ -5,8 +5,9 @@ A seeded sweep of laws with D 1-12, |z| <= 1e4 and lambda2 log-uniform in
 (or -inf for a density) or raises DomainError or ConvergenceError, the
 quadrature log Z agrees with the pcf one wherever that succeeds, and
 sample succeeds wherever pcf log Z does; every quadrature log Z stops by
-tanh-sinh level 5.  Beyond that domain, near the float limits, only the
-first holds, and each CLI subcommand exits with its documented code.
+tanh-sinh level 5.  Beyond that domain, near the float limits, the first
+and the last of these hold, and each CLI subcommand exits with its
+documented code.
 Nowhere does pcf log Z raise ConvergenceError: there is no other route for
 "auto" to fall back to.
 """
@@ -104,7 +105,10 @@ NEAR_LIMITS = pytest.mark.parametrize("l1,l2", [
 @pytest.mark.parametrize("dim", [1, 2, 3, 12])
 @NEAR_LIMITS
 def test_every_route_is_finite_or_typed_near_the_float_limits(dim, l1, l2):
-    _outcomes(core.RadialParams(dim, l1, l2))
+    """Every route is finite or typed, and sample succeeds wherever pcf
+    log Z does."""
+    pcf, _, x = _outcomes(core.RadialParams(dim, l1, l2))
+    assert isinstance(pcf, Exception) or not isinstance(x, Exception), x
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,11 +1,13 @@
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from eqe import core, sampling
-from eqe.errors import ConvergenceError, DomainError
+from eqe.errors import DomainError
 
 SHAPES = [
     (1, -3.0, 0.5),
@@ -85,6 +87,16 @@ def test_thin_ring_table_resolves_the_ring():
     cdf = table.cdf_values
     assert np.sum((cdf > 1e-4) & (cdf < 1.0 - 1e-4)) >= 2000
     assert np.all(cdf[:-1] < 1.0)
+
+
+def test_ring_thinner_than_the_radius_spacing_samples():
+    """At alpha 1e26 the ring (R = 1) is 5e-14 wide, a few hundred ulps,
+    so knots apart in d round to one radius; each radius is kept once."""
+    p = core.ring_to_radial(core.RingParams(3, 1e26, 1.0))
+    assert np.all(np.diff(sampling.build_radial_table(p).knots) > 0.0)
+    x = sampling.sample(p, 20000, sampling.SeededGenerator(8))
+    np.testing.assert_allclose(np.std(np.linalg.norm(x, axis=1)), 5e-14,
+                               rtol=0.03)
 
 
 def test_sample_thin_ring_width():
@@ -460,12 +472,8 @@ def test_thin_ring_knot_cdfs_match_a_reference(ring):
 def test_table_where_lambda1_squared_overflows(dim, lambda1):
     """lambda1**2 overflows, yet the peak of y**(D/2-1) e**(lambda1 y) is
     representable: the law is Gaussian to within lambda2 / lambda1**2, so
-    -lambda1 q is Gamma(D/2, 1).  A typed error would be allowed too."""
+    -lambda1 q is Gamma(D/2, 1)."""
     p = core.RadialParams(dim, lambda1, 1.0)
-    try:
-        sampling.build_radial_table(p)
-    except (ConvergenceError, DomainError):
-        return
     n = 20000
     x = sampling.sample(p, n, sampling.SeededGenerator(9))
     g = np.sort(-lambda1 * np.einsum("ij,ij->i", x, x))
@@ -477,3 +485,27 @@ def test_table_where_lambda1_squared_overflows(dim, lambda1):
     k = np.arange(n)
     d_ks = float(np.max(np.maximum(cdf - k / n, (k + 1) / n - cdf)))
     assert d_ks * math.sqrt(n) <= 1.63  # the 1 % level
+
+
+# 40-digit quantiles of the standard radius (lambda2 = 1/2, so r = rho and
+# lambda1 = -z exactly), written by tests/data/make_pcf_reference.py
+QUANTILES = json.loads((Path(__file__).parent / "data"
+                        / "pcf_reference.json").read_text())["quantile_points"]
+# relative bound per level (measured worst: 1.3e-9, 1.3e-11, 9.0e-10,
+# 1.3e-15, 4.1e-10, 2.3e-8, 4.9e-6); the tail bounds leave room for a
+# layout whose knots miss the decades (a uniform pilot grid measured
+# 2.8e-5, 1.5e-7 and 3.5e-5 there).  The tail levels are decades, so
+# they fall on or next to the log-spaced knots; between these the edge
+# cells' cubics are up to 3e-3 off in radius
+QUANTILE_BOUND = {1e-12: 5e-5, 1e-6: 3e-7, 0.01: 2e-9, 0.5: 1e-14,
+                  0.99: 1e-9, 1 - 1e-6: 5e-8, 1 - 1e-12: 5e-5}
+
+
+@pytest.mark.parametrize("dim,z", sorted({(r[0], r[1]) for r in QUANTILES}))
+def test_inverse_cdf_meets_the_quantile_corpus(dim, z):
+    rows = [(p, q) for d, zz, p, q in QUANTILES if (d, zz) == (dim, z)]
+    table = sampling.build_radial_table(core.RadialParams(dim, -z, 0.5))
+    levels, want = (np.array(v) for v in zip(*rows))
+    rel = np.abs(table.inverse_cdf(levels) - want) / want
+    bound = np.array([QUANTILE_BOUND[p] for p in levels])
+    assert np.all(rel <= bound), list(zip(levels, rel))
