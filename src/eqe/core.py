@@ -18,6 +18,7 @@ doubles as a cross-check in the CLI selfcheck.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal
@@ -140,14 +141,35 @@ def _whitened_sq_norms(chol: np.ndarray, x: np.ndarray,
     return q
 
 
-def _draws(rng, r: np.ndarray, dim: int, chol=None, mu=0.0) -> np.ndarray:
-    """Draws mu + chol (r_i v_i / |v_i|), v_i the next r.size * dim normals
-    of rng (chol None: the identity), made block by block in place."""
-    x, buf = np.empty((r.size, dim)), np.empty((min(r.size, _BLOCK + 1), dim))
-    chol_t = None if chol is None else chol.T.copy()  # C order, as above
-    for rows in _blocks(r.size):
+def _draws(rng, n: int, dim: int, radii, chol=None, mu=0.0) -> np.ndarray:
+    """n draws mu + chol (r_i v_i / |v_i|), v_i the next n * dim normals of
+    rng (chol None: the identity) and r = radii(), scaled block by block in
+    place.  One helper thread fills the normals, a call that releases the
+    GIL, while this one computes the radii; nothing else may use rng
+    meanwhile.  rng is read in the order a fill after the radii would read
+    it, so the draws are the same bit for bit."""
+    x = np.empty((n, dim))
+    failure = []
+
+    def fill():
+        try:
+            rng.standard_normal(out=x)
+        except BaseException as exc:  # raised in the caller after the join
+            failure.append(exc)
+
+    thread = threading.Thread(target=fill)
+    thread.start()
+    try:
+        r = radii()
+    finally:
+        thread.join()
+    if failure:
+        raise failure[0]
+    if chol is not None:
+        buf = np.empty((min(n, _BLOCK + 1), dim))
+        chol_t = chol.T.copy()  # C order, as above
+    for rows in _blocks(n):
         v = x[rows]
-        rng.standard_normal(out=v)
         norms = np.sqrt(np.einsum("ij,ij->i", v, v))
         norms[norms == 0.0] = 1.0
         v *= (r[rows] / norms)[:, None]
@@ -570,7 +592,7 @@ class EllipticalGammaReference(_ShapeMatrix):
             raise DomainError(f"gen must be a SeededGenerator or numpy "
                               f"Generator, got {type(gen).__name__}")
         q = rng.gamma(shape=self.a, scale=self.b, size=n)
-        return _draws(rng, np.sqrt(q), self.dim, self._chol)
+        return _draws(rng, n, self.dim, lambda: np.sqrt(q), self._chol)
 
 
 def eg_reference(sigma: np.ndarray, a: float, b: float

@@ -22,8 +22,11 @@ edge knots) get four more steps and, if need be, bisection in one compact
 pass over all blocks.
 
 A draw takes its radius from the first n uniforms of the stream and its
-direction from the n*D normals after them.  A seed gives the same draws
-within a version; across versions they may move within the inversion
+direction from the n*D normals after them.  One helper thread fills those
+normals while the radii are inverted; the stream layout, and so every draw,
+is the same as if they were filled after, bit for bit, but the Generator
+must not be used by another thread during the call.  A seed gives the same
+draws within a version; across versions they may move within the inversion
 tolerance of a radius (see the README).
 """
 
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -306,14 +309,17 @@ def sample(params: core.Params, n: int, gen) -> np.ndarray:
 
     The stream consumption order is fixed (n uniforms for the radii, then
     n*dim normals for the directions), so results are reproducible for a
-    given seed across parameterizations of the same dimension.
+    given seed across parameterizations of the same dimension.  The normals
+    fill on one helper thread while the radii are inverted, which leaves
+    the layout and the draws unchanged bit for bit; no other thread may use
+    ``gen`` until the call returns.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
     rng = _as_rng(gen)
     p = params.radial
     table = _cached_table(p)
-    r = np.atleast_1d(table.inverse_cdf(rng.random(n)))
+    radii = partial(table.inverse_cdf, rng.random(n))  # uniforms first
     if isinstance(params, core.EllipticalParams):
-        return core._draws(rng, r, p.dim, params._chol, params.mu)
-    return core._draws(rng, r, p.dim)
+        return core._draws(rng, n, p.dim, radii, params._chol, params.mu)
+    return core._draws(rng, n, p.dim, radii)

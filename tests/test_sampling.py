@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -277,6 +278,51 @@ def test_sample_follows_the_documented_stream_layout_across_blocks(p, n):
     reach = np.abs(p._chol).sum(axis=1).max()
     scale = np.maximum(np.abs(z).max(axis=1) * reach, np.abs(p.mu).max())
     assert np.all(np.abs(x - expected) <= 8.0 * np.spacing(scale)[:, None])
+
+
+@pytest.mark.parametrize("n", [1, B, B + 1, 2 * B + 3])
+@pytest.mark.parametrize("p", [core.RadialParams(3, 4.0, 1.5), ELLIPTICAL,
+                               core.eg_reference(ELLIPTICAL.sigma, 3.0, 0.5)],
+                         ids=["spherical", "elliptical", "eg_reference"])
+def test_sample_leaves_the_stream_after_its_normals(p, n):
+    # the normals are filled on a helper thread: when sample returns, that
+    # fill has finished and took exactly n * dim normals after the radii's
+    # n variates
+    g, twin = (np.random.default_rng(63) for _ in range(2))
+    if isinstance(p, core.EllipticalGammaReference):
+        p.sample(n, g)
+        twin.gamma(p.a, p.b, size=n)
+    else:
+        sampling.sample(p, n, g)
+        twin.random(n)
+    twin.standard_normal(n * p.dim)
+    np.testing.assert_array_equal(g.random(4), twin.random(4))
+
+
+class _FailingNormals(np.random.Generator):
+    def standard_normal(self, *args, **kwargs):
+        raise ValueError("no normals")
+
+
+@pytest.mark.parametrize("p", [core.RadialParams(3, 4.0, 1.5), ELLIPTICAL],
+                         ids=["spherical", "elliptical"])
+def test_a_failed_normal_fill_raises_in_the_caller(p):
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="no normals"):
+        sampling.sample(p, 1000, _FailingNormals(np.random.PCG64(1)))
+    assert threading.active_count() == before
+
+
+def test_a_failed_inversion_still_joins_the_fill(monkeypatch):
+    def fail(self, u):
+        raise FloatingPointError("inversion failed")
+
+    p = core.RadialParams(3, 4.0, 1.5)
+    monkeypatch.setattr(sampling.RadialCdfTable, "inverse_cdf", fail)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="inversion failed"):
+        sampling.sample(p, 3 * B, 5)
+    assert threading.active_count() == before
 
 
 def test_sample_allocates_little_beyond_its_output():
