@@ -69,19 +69,13 @@ def load_params_file(path: str) -> core.Params:
     if form not in ("radial", "ring"):
         raise DomainError(
             f"param_form must be \"radial\" or \"ring\", got {form!r}")
-    radial_keys = {"lambda1", "lambda2"} & doc.keys()
-    ring_keys = {"alpha", "R"} & doc.keys()
-    if form == "radial":
-        if radial_keys != {"lambda1", "lambda2"} or ring_keys:
-            raise DomainError(
-                "radial form needs exactly the fields lambda1 and lambda2")
-        p = core.RadialParams(doc["dim"], doc["lambda1"], doc["lambda2"])
-    else:
-        if ring_keys != {"alpha", "R"} or radial_keys:
-            raise DomainError(
-                "ring form needs exactly the fields alpha and R")
-        p = core.ring_to_radial(core.RingParams(doc["dim"], doc["alpha"],
-                                                doc["R"]))
+    fields = {"radial": ("lambda1", "lambda2"), "ring": ("alpha", "R")}
+    if {"lambda1", "lambda2", "alpha", "R"} & doc.keys() != set(fields[form]):
+        raise DomainError(f"{form} form needs exactly the fields "
+                          f"{fields[form][0]} and {fields[form][1]}")
+    a, b = (doc[k] for k in fields[form])
+    p = (core.RadialParams(doc["dim"], a, b) if form == "radial" else
+         core.ring_to_radial(core.RingParams(doc["dim"], a, b)))
     if "mu" not in doc and "sigma" not in doc:
         return p
     mu = doc.get("mu", [0.0] * p.dim)
@@ -278,8 +272,10 @@ def cmd_marginal(params_path, dim1, rmax, npts, out_path):
         raise click.UsageError(
             f"--rmax must be finite and positive, got {rmax}")
     rs = np.linspace(0.0, rmax, npts)
-    dens = [math.exp(condmarg._marginal_log_density_q(params, split, r * r))
-            for r in rs]
+    x1 = np.zeros((npts, dim1))
+    x1[:, 0] = rs  # rows (r, 0, ..., 0), whose q1 is r * r exactly
+    dens = [math.exp(condmarg.marginal_log_density(params, split, x))
+            for x in x1]
     peaks = condmarg.marginal_peaks(params, split)
     _csv_out(out_path, ["r1", "marginal_density"],
              np.column_stack([rs, dens]))

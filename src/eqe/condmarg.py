@@ -36,11 +36,8 @@ class BlockSplit:
 
     def __post_init__(self):
         for name in ("dim1", "dim2"):
-            val = getattr(self, name)
-            if isinstance(val, bool) or not float(val).is_integer() or val < 1:
-                raise DomainError(
-                    f"{name} must be a positive integer, got {val!r}")
-            object.__setattr__(self, name, int(val))
+            object.__setattr__(self, name,
+                               core._positive_int(name, getattr(self, name)))
 
     @property
     def total_dim(self) -> int:
@@ -77,19 +74,6 @@ def conditional_params(p: core.RadialParams, split: BlockSplit,
                              p.lambda2)
 
 
-def _marginal_log_density_q(p: core.RadialParams, split: BlockSplit,
-                            q1: float) -> float:
-    shifted = p.lambda1 - 2.0 * p.lambda2 * q1
-    if not math.isfinite(shifted):
-        return -math.inf  # q1 so large that the density underflows
-    log_z_inner = core.log_norm_const(
-        core.RadialParams(split.dim2, shifted, p.lambda2))
-    out = (p.lambda1 * q1 - p.lambda2 * q1 * q1 + log_z_inner
-           - core.log_norm_const(p))
-    # inf - inf once q1**2 overflows; lambda2 > 0, so the quartic term wins
-    return -math.inf if math.isnan(out) else out
-
-
 def marginal_log_density(p: core.RadialParams, split: BlockSplit,
                          x1) -> float:
     """Log density of the leading block at the point x1, with the trailing
@@ -115,7 +99,15 @@ def marginal_log_density(p: core.RadialParams, split: BlockSplit,
         raise DomainError("x1 must be finite")
     with np.errstate(over="ignore"):
         q1 = float(x1 @ x1)
-    return _marginal_log_density_q(p, split, q1)
+    shifted = p.lambda1 - 2.0 * p.lambda2 * q1
+    if not math.isfinite(shifted):
+        return -math.inf  # q1 so large that the density underflows
+    log_z_inner = core.log_norm_const(
+        core.RadialParams(split.dim2, shifted, p.lambda2))
+    out = (p.lambda1 * q1 - p.lambda2 * q1 * q1 + log_z_inner
+           - core.log_norm_const(p))
+    # inf - inf once q1**2 overflows; lambda2 > 0, so the quartic term wins
+    return -math.inf if math.isnan(out) else out
 
 
 def marginal_peaks(p: core.RadialParams, split: BlockSplit) -> list[float]:

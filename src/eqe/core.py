@@ -31,8 +31,47 @@ from .errors import ConvergenceError, DomainError
 _LN_2 = math.log(2.0)
 _LN_PI = math.log(math.pi)
 _BLOCK = 8192  # rows per pass of the row-wise maps, which stay in cache
+_REAL = (float, int, np.floating, np.integer)  # bool, an int, is not
 
 Method = Literal["pcf", "quadrature", "auto"]
+
+
+def _positive_int(name: str, value) -> int:
+    """value as an int: a positive integer, or a float of integer value."""
+    if (isinstance(value, _REAL) and not isinstance(value, bool)
+            and value >= 1 and (isinstance(value, (int, np.integer))
+                                or float(value).is_integer())):
+        return int(value)
+    raise DomainError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _set_real(obj, name: str, positive: bool = False) -> float:
+    """Set the field ``name`` of a frozen dataclass to its value as a float
+    and return it; DomainError unless that is a finite real number (a bool
+    is not), and positive if ``positive``."""
+    value = getattr(obj, name)
+    if isinstance(value, _REAL) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an int beyond double range
+            x = math.inf
+        if math.isfinite(x) and (x > 0.0 or not positive):
+            object.__setattr__(obj, name, x)
+            return x
+    kind = "positive" if positive else "finite"
+    raise DomainError(f"{name} must be a {kind} real number, got {value!r}")
+
+
+def _reals(name: str, value) -> np.ndarray:
+    """value as a new float array, if a rectangular array of real numbers."""
+    try:
+        arr = np.array(value)
+    except ValueError:  # ragged
+        arr = np.array(None)
+    if arr.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must be an array of real numbers, got "
+                          f"{value!r}")
+    return arr.astype(float, copy=False)
 
 
 @dataclass(frozen=True)
@@ -45,19 +84,10 @@ class RadialParams:
     lambda2: float
 
     def __post_init__(self):
-        d = self.dim
-        if isinstance(d, bool) or not float(d).is_integer():
-            raise DomainError(f"dim must be a positive integer, got {d!r}")
-        if d < 1:
-            raise DomainError(f"dim must be >= 1, got {d}")
-        if not math.isfinite(self.lambda1):
-            raise DomainError(f"lambda1 must be finite, got {self.lambda1}")
-        if not (math.isfinite(2.0 * self.lambda2) and self.lambda2 > 0):
-            raise DomainError(f"lambda2 must be positive, and 2 lambda2 "
-                              f"finite, got {self.lambda2}")
-        object.__setattr__(self, "dim", int(d))
-        object.__setattr__(self, "lambda1", float(self.lambda1))
-        object.__setattr__(self, "lambda2", float(self.lambda2))
+        object.__setattr__(self, "dim", _positive_int("dim", self.dim))
+        _set_real(self, "lambda1")
+        if not math.isfinite(2.0 * _set_real(self, "lambda2", positive=True)):
+            raise DomainError(f"2 lambda2 must be finite, got {self.lambda2}")
 
     # the interface EllipticalParams shares: identity shape matrix
     log_det_sigma = 0.0
@@ -80,16 +110,9 @@ class RingParams:
     radius: float
 
     def __post_init__(self):
-        d = self.dim
-        if isinstance(d, bool) or not float(d).is_integer() or d < 1:
-            raise DomainError(f"dim must be a positive integer, got {d!r}")
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise DomainError(f"alpha must be positive, got {self.alpha}")
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise DomainError(f"radius must be positive, got {self.radius}")
-        object.__setattr__(self, "dim", int(d))
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "dim", _positive_int("dim", self.dim))
+        _set_real(self, "alpha", positive=True)
+        _set_real(self, "radius", positive=True)
 
 
 def ring_to_radial(ring: RingParams) -> RadialParams:
@@ -139,6 +162,31 @@ def _whitened_sq_norms(chol: np.ndarray, x: np.ndarray,
         np.matmul(np.subtract(x[rows], mu, out=shift[:len(w)]), inv_t, out=w)
         np.einsum("ij,ij->i", w, w, out=q[rows])
     return q
+
+
+class SeededGenerator:
+    """Deterministic random stream (PCG64 keyed by an integer seed)."""
+
+    def __init__(self, seed: int):
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+            raise DomainError(f"seed must be an integer, got {seed!r}")
+        self.seed = int(seed)
+        self.rng = np.random.Generator(np.random.PCG64(self.seed))
+
+
+def _as_rng(n: int, gen) -> np.random.Generator:
+    """The Generator that both samplers' n draws take from gen, an integer
+    seed, a SeededGenerator or a numpy Generator; n is checked too."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise DomainError(f"n must be a positive integer, got {n!r}")
+    if isinstance(gen, SeededGenerator):
+        return gen.rng
+    if isinstance(gen, np.random.Generator):
+        return gen
+    if isinstance(gen, (int, np.integer)) and not isinstance(gen, bool):
+        return SeededGenerator(int(gen)).rng
+    raise DomainError(f"gen must be an integer seed, a SeededGenerator or a "
+                      f"numpy Generator, got {type(gen)!r}")
 
 
 def _draws(rng, n: int, dim: int, radii, chol=None, mu=0.0) -> np.ndarray:
@@ -204,8 +252,7 @@ class EllipticalParams(_ShapeMatrix):
     radial: RadialParams
 
     def __post_init__(self):
-        mu = np.array(self.mu, dtype=float)
-        sigma = np.array(self.sigma, dtype=float)
+        mu, sigma = _reals("mu", self.mu), _reals("sigma", self.sigma)
         d = self.radial.dim
         if mu.shape != (d,):
             raise DomainError(f"mu must have shape ({d},), got {mu.shape}")
@@ -238,11 +285,9 @@ class MomentPair:
     c4: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.c2) and self.c2 > 0):
-            raise DomainError(f"c2 must be positive, got {self.c2}")
-        if not (math.isfinite(self.c4) and self.c4 > self.c2 * self.c2):
-            raise DomainError(
-                f"c4 must exceed c2**2 (got c2={self.c2}, c4={self.c4})")
+        c2, c4 = _set_real(self, "c2", positive=True), _set_real(self, "c4")
+        if not c4 > c2 * c2:
+            raise DomainError(f"c4 must exceed c2**2 (got c2={c2}, c4={c4})")
 
 
 def log_sphere_surface_area(n: int) -> float:
@@ -424,30 +469,25 @@ def log_norm_const_d1_neg(lambda1: float, lambda2: float) -> float:
             + specfun.bessel_k_quarter_scaled(w))
 
 
-def radial_moment(params: Params, k: int, method: Method = "auto") -> float:
+def radial_moment(params: Params, k: int,
+                  method: Literal["pcf", "auto"] = "auto") -> float:
     """E[r**k] of the Mahalanobis radius, for k in {2, 4, 6, 8}.
 
-    It is (2 lambda2)**(-k/4) E[u**j], j = k/2, under the standard law.
-    The pcf route reads that as t***j E[(1 + E)**j] from its one panel
-    pass, within 6e-15 relative of 40-digit references on rings to alpha
-    1e8, box and near-Gaussian laws; the quadrature route is the ratio of
-    its standard integrals at D + k and D.  ConvergenceError where E[r**k]
-    overflows.
+    It is (2 lambda2)**(-k/4) E[u**j], j = k/2, under the standard law,
+    read as t***j E[(1 + E)**j] from its one panel pass: within 6e-15
+    relative of 40-digit references on rings to alpha 1e8, box and
+    near-Gaussian laws.  ``method`` is "pcf" or "auto", the one route.
+    ConvergenceError where E[r**k] overflows.
     """
     if k not in (2, 4, 6, 8):
         raise DomainError(f"radial moments implemented for k in {{2,4,6,8}}, "
                           f"got {k}")
-    if method not in ("pcf", "quadrature", "auto"):
+    if method not in ("pcf", "auto"):
         raise DomainError(f"unknown method {method!r}")
     p = params.radial
-    z, j = _z(p), k // 2
-    if method == "quadrature":  # the j-th root of the lifted ratio
-        t, value = math.exp((_log_z_quadrature(p.dim + k, z)
-                             - _log_z_quadrature(p.dim, z)) / j), 1.0
-    else:
-        _, _, t, e = _standard(p.dim, z)
-        value = math.fsum(math.comb(j, i) * c
-                          for i, c in enumerate((1.0, *e[:j])))
+    j = k // 2
+    _, _, t, e = _standard(p.dim, _z(p))
+    value = math.fsum(math.comb(j, i) * c for i, c in enumerate((1.0, *e[:j])))
     y = t / math.sqrt(2.0 * p.lambda2)
     for _ in range(j):
         value *= y
@@ -535,16 +575,12 @@ class EllipticalGammaReference(_ShapeMatrix):
     b: float
 
     def __post_init__(self):
-        sigma = np.array(self.sigma, dtype=float)
+        sigma = _reals("sigma", self.sigma)
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise DomainError(f"sigma must be square, got {sigma.shape}")
-        if not (math.isfinite(self.a) and self.a > 0):
-            raise DomainError(f"a must be positive, got {self.a}")
-        if not (math.isfinite(self.b) and self.b > 0):
-            raise DomainError(f"b must be positive, got {self.b}")
+        _set_real(self, "a", positive=True)
+        _set_real(self, "b", positive=True)
         self._set_sigma(sigma)
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
 
     @property
     def dim(self) -> int:
@@ -583,14 +619,9 @@ class EllipticalGammaReference(_ShapeMatrix):
         return value
 
     def sample(self, n: int, gen) -> np.ndarray:
-        """n draws; gen is a SeededGenerator or a numpy Generator."""
-        if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
-                or n < 1):
-            raise DomainError(f"n must be a positive integer, got {n!r}")
-        rng = getattr(gen, "rng", gen)
-        if not isinstance(rng, np.random.Generator):
-            raise DomainError(f"gen must be a SeededGenerator or numpy "
-                              f"Generator, got {type(gen).__name__}")
+        """n draws, shape (n, dim), from gen as sampling.sample takes it: n
+        Gamma variates for the radii, then n*dim normals."""
+        rng = _as_rng(n, gen)
         q = rng.gamma(shape=self.a, scale=self.b, size=n)
         return _draws(rng, n, self.dim, lambda: np.sqrt(q), self._chol)
 
@@ -598,8 +629,7 @@ class EllipticalGammaReference(_ShapeMatrix):
 def eg_reference(sigma: np.ndarray, a: float, b: float
                  ) -> EllipticalGammaReference:
     """Elliptical Gamma reference with shape matrix sigma and q ~ Gamma(a, b)."""
-    return EllipticalGammaReference(sigma=np.asarray(sigma, dtype=float),
-                                    a=a, b=b)
+    return EllipticalGammaReference(sigma=sigma, a=a, b=b)
 
 
 def eg_reference_from_moments(sigma: np.ndarray, moments: MomentPair

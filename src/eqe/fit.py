@@ -38,6 +38,8 @@ _NEAR_BAND = 0.02
 # bracket closes; it reports converged within _CONVERGED_CEILING
 _RESIDUAL_TARGET = 1e-14
 _CONVERGED_CEILING = 1e-12
+# Newton evaluations before the fit stops and reports itself unconverged
+_MAX_ITERATIONS = 200
 
 Feasibility = Literal["interior", "near_boundary"]
 
@@ -54,24 +56,20 @@ class FitReport:
 
 def gaussian_moment_ratio(dim: int) -> float:
     """c4/c2**2 of the lambda2 -> 0 (Gaussian) limit: (D+2)/D."""
-    if dim < 1:
-        raise DomainError(f"dim must be >= 1, got {dim}")
+    dim = core._positive_int("dim", dim)
     return (dim + 2.0) / dim
 
 
-def fit_moments(dim: int, moments: core.MomentPair, *,
-                max_iterations: int = 200) -> FitReport:
+def fit_moments(dim: int, moments: core.MomentPair) -> FitReport:
     """Fit (lambda1, lambda2) so that E[q] = c2 and E[q**2] = c4.
 
     Raises InfeasibleMomentsError when c4/c2**2 reaches the Gaussian
     boundary (D+2)/D; reports feasibility "near_boundary" within 2% of
-    it, where lambda2 is small and the problem badly conditioned.
+    it, where lambda2 is small and the problem badly conditioned.  Newton
+    takes at most 200 evaluations; a fit stopped there reports converged
+    False.
     """
-    if isinstance(dim, bool) or not float(dim).is_integer() or dim < 1:
-        raise DomainError(f"dim must be a positive integer, got {dim!r}")
-    dim = int(dim)
-    if max_iterations < 1:
-        raise DomainError(f"max_iterations must be >= 1, got {max_iterations}")
+    dim = core._positive_int("dim", dim)
     c2, c4 = moments.c2, moments.c4
     ratio = c4 / (c2 * c2)
     bound = gaussian_moment_ratio(dim)
@@ -91,7 +89,7 @@ def fit_moments(dim: int, moments: core.MomentPair, *,
          else math.sqrt((1.0 + 2.0 / dim) / (2.0 / dim - excess)))
     lo, hi = -math.inf, math.inf
     trace = []
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, _MAX_ITERATIONS + 1):
         _, _, t_star, (e1, e2, e3, _) = core._standard(dim, z)
         m1, var = 1.0 + e1, e2 - e1 * e1
         gap = math.log(var / (m1 * m1) / excess)

@@ -6,20 +6,20 @@ r**2 - lambda2 r**4).  In u = sqrt(2 lambda2) r**2 that is the standard law
 u**(D/2-1) e**(-z u - u**2/2) of shape (D, z), whose integral is log Z's,
 and the table is built on that integral's own Gauss-Legendre panels, in d =
 ln(u / t*): each panel is cut into 64 equal sub-panels, integrated in one
-pass.  Knots go uniformly in the CDF (log-spaced in both tails), and each
-knot's CDF is the sub-panel mass up to its sub-panel plus one panel to the
-knot, near machine accuracy.  A cubic Hermite interpolant with exact
+pass.  Knots go uniformly in the CDF, and 10**(1/8) apart in the tails;
+each knot's CDF is the sub-panel mass up to its sub-panel plus one panel
+to the knot, near machine accuracy.  A cubic Hermite interpolant with exact
 density derivatives represents the CDF between knots; the table builds each
 cell's cubic once.  Inversion finds each level's knot cell through a guide
 index (Chen & Asau 1974; Devroye 1986, sec. III.2.4): [0, 1] is cut into
 4096 equal buckets, each recording the last knot at or below its left edge,
 and a level steps on from its bucket's knot past the few knots inside the
-bucket.  In the cell one clamped Newton step runs from a seed, the
+bucket, or is searched for in the two end buckets, which hold the tail
+ladders.  In the cell one clamped Newton step runs from a seed, the
 inverse's own cubic Hermite, in blocks that stay in cache.  Levels whose
 residual is still above the cell's tolerance (1e-9 of its mass plus 4 ulps
-of its upper CDF; a few per thousand, in the cells next to the log-spaced
-edge knots) get four more steps and, if need be, bisection in one compact
-pass over all blocks.
+of its upper CDF; a few per thousand, most in the tails) get four more
+steps and, if need be, bisection in one compact pass over all blocks.
 
 A draw takes its radius from the first n uniforms of the stream and its
 direction from the n*D normals after them.  One helper thread fills those
@@ -39,34 +39,13 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import core, specfun
+from .core import SeededGenerator  # noqa: F401 (re-exported)
 from .errors import DomainError
 from .quadrature import gauss_legendre_panels
 
 _SUB = 64  # equal sub-panels per panel of log Z's integral
-_N_KNOTS = 2048
+_UNIFORM = 2048  # the middle knots are 1 / _UNIFORM apart in the CDF
 _GUIDE = 4096  # a power of two: u * _GUIDE and its floor are exact
-
-
-class SeededGenerator:
-    """Deterministic random stream (PCG64 keyed by an integer seed)."""
-
-    def __init__(self, seed: int):
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-            raise DomainError(f"seed must be an integer, got {seed!r}")
-        self.seed = int(seed)
-        self.rng = np.random.Generator(np.random.PCG64(self.seed))
-
-
-def _as_rng(gen) -> np.random.Generator:
-    if isinstance(gen, SeededGenerator):
-        return gen.rng
-    if isinstance(gen, np.random.Generator):
-        return gen
-    if isinstance(gen, (int, np.integer)) and not isinstance(gen, bool):
-        return SeededGenerator(int(gen)).rng
-    raise DomainError(
-        f"gen must be an integer seed, a SeededGenerator or a "
-        f"numpy Generator, got {type(gen)!r}")
 
 
 def _hermite(coef: tuple, t, slope: bool = False):
@@ -100,14 +79,13 @@ def _newton(coef, floor, tol, u, t, steps: int) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class RadialCdfTable:
-    """Shareable, immutable inverse-CDF table for the radial density."""
+    """Shareable, immutable inverse-CDF table for the radial density: its
+    CDF and density at knots from r = 0 to r_max, where the CDF is 1."""
 
     params: core.RadialParams
     knots: np.ndarray
     cdf_values: np.ndarray
     pdf_values: np.ndarray
-    r_max: float
-    log_norm: float
 
     def __post_init__(self):
         for arr in (self.knots, self.cdf_values, self.pdf_values):
@@ -137,6 +115,11 @@ class RadialCdfTable:
                           ("_upper", upper)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    @property
+    def r_max(self) -> float:
+        """The last knot, at or beyond which the CDF is 1."""
+        return float(self.knots[-1])
 
     def cdf(self, r) -> np.ndarray | float:
         r = np.clip(np.asarray(r, dtype=float), 0.0, self.r_max)
@@ -182,9 +165,12 @@ class RadialCdfTable:
         return float(r[0]) if np.ndim(u) == 0 else r.reshape(u_arr.shape)
 
     def _cell(self, u: np.ndarray) -> np.ndarray:
-        """Knot cell of each level u of a 1-d array: the last knot with CDF
-        <= u, or the last cell.  Steps on from the guide's cell to it."""
-        idx = self._guide[(u * _GUIDE).astype(np.intp)]
+        """Knot cell of each level u of a 1-d array, the last knot with CDF
+        <= u or the last cell: searched in the end buckets, else stepped to."""
+        j = (u * _GUIDE).astype(np.intp)
+        idx = self._guide[j]
+        end = np.flatnonzero((j == 0) | (j >= _GUIDE - 1))
+        idx[end] = np.searchsorted(self._upper, u[end], side="right")
         lane = np.flatnonzero(self._upper[idx] <= u)
         while lane.size:
             idx[lane] += 1
@@ -211,13 +197,6 @@ class RadialCdfTable:
         return (1.0 - t) * self.knots[idx] + t * self.knots[idx + 1]
 
 
-def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    """np.unique for floats, without the numpy.ma import that np.unique and
-    np.union1d trigger on first use."""
-    a = np.sort(a)
-    return a[np.concatenate(([True], a[1:] != a[:-1]))]
-
-
 def build_radial_table(params: core.Params) -> RadialCdfTable:
     """Build the radial inverse-CDF table on the panels of log Z's own
     integral, specfun._panels(D/2, z).
@@ -232,11 +211,8 @@ def build_radial_table(params: core.Params) -> RadialCdfTable:
     table treats the CDF there as exactly 1.
     """
     p = params.radial
-    z = core._z(p)
-    # log of the integral of r**(D-1) e**(lambda1 r**2 - lambda2 r**4)
-    log_norm = (core._standard(p.dim, z)[0] - core._LN_2
-                - 0.25 * p.dim * math.log(2.0 * p.lambda2))
-    _, t_star, log_f, edges, log_tail = specfun._panels(0.5 * p.dim, z)
+    _, t_star, log_f, edges, log_tail = specfun._panels(0.5 * p.dim,
+                                                        core._z(p))
     r_star = (2.0 * p.lambda2) ** -0.25 * math.sqrt(t_star)
     (n1, d1), (n2, d2), (nr, dr) = (
         v.as_integer_ratio() for v in (p.lambda1, p.lambda2, r_star))
@@ -256,16 +232,21 @@ def build_radial_table(params: core.Params) -> RadialCdfTable:
     cum = np.concatenate(([tail], tail + np.cumsum(mass)))
     total = cum[-1]
 
-    # mostly uniform in CDF, with log-spaced targets at both ends so that
-    # steep density edges (sharp rings) keep knots through the "dead" zone;
-    # a decade apart, the density changes little enough across an edge
-    # cell for the cubic there to stay monotone.  They reach 1e-16 below,
-    # under the least positive uniform (2**-53), so that only u = 0 falls
-    # in the cell at r = 0, and 1 - 1e-13 above, which a CDF resolves
-    edge = np.logspace(-16.0, -4.0, 13)
-    tails = np.concatenate((edge, 1.0 - edge[3:]))
-    targets = _sorted_unique(np.concatenate(
-        (tails, np.linspace(0.0, 1.0, _N_KNOTS - tails.size))))
+    # uniform in CDF, and in each tail a ladder 10**(1/8) apart up to where
+    # its step reaches the uniform one: steep edges (sharp rings) keep
+    # knots, and the density changes little across any tail cell.  They
+    # start at 1e-16, under the least positive uniform (2**-53), so that
+    # only u = 0 falls in the cell at r = 0, and 1 - 1e-13, which a CDF
+    # resolves
+    rung = 10.0 ** 0.125
+    top = 1.0 / (_UNIFORM * (rung - 1.0))
+    low, high = (start * rung ** np.arange(math.ceil(math.log(top / start,
+                                                               rung)))
+                 for start in (1e-16, 1e-13))
+    even = np.arange(1, _UNIFORM) / _UNIFORM
+    targets = np.concatenate((
+        [0.0], low, even[(even > low[-1]) & (even < 1.0 - high[-1])],
+        1.0 - high[::-1], [1.0]))
     # each placed by the log of the mass below it, or in the upper half of
     # the mass above it, summed from that end: near linear in both tails
     above = np.append(np.cumsum(mass[::-1])[::-1], 0.0)
@@ -274,7 +255,9 @@ def build_radial_table(params: core.Params) -> RadialCdfTable:
             -np.log1p(-targets), math.log(total) - np.log(above), grid),
             np.interp(np.log(targets), np.log(cum / total), grid))
     d[0], d[-1] = -np.inf, grid[-1]  # r = 0 and the panels' end
-    d = _sorted_unique(d)
+    # linear in log(1 - F), the upper interpolation lies below the lower,
+    # linear in log F: where they meet at 0.5 a knot may fall back
+    np.maximum.accumulate(d, out=d)
     # each radius once: r* w, with w = e**(d/2) off 1 + expm1(d/2) by its
     # rounding; err is the exact radius less the knot
     w = np.exp(0.5 * d)
@@ -289,14 +272,16 @@ def build_radial_table(params: core.Params) -> RadialCdfTable:
     cdf = np.concatenate((
         [0.0], (cum[j] + gauss_legendre_panels(law, grid[j], mid)) / total,
         [1.0]))
+    # at D = 1 the density at r = 0, from the same mass: the limit of 2
+    # e**law(d) / (total r), law(d) -> d/2 + 1/2 - t*^2/2 - g as d -> -inf
     pdf = np.concatenate((
-        [math.exp(-log_norm) if p.dim == 1 else 0.0],
+        [2.0 * math.exp(0.5 - 0.5 * t_star * t_star - g) / (total * r_star)
+         if p.dim == 1 else 0.0],
         2.0 * np.exp(law(d[1:])) / (total * knots[1:])))
     # the density times the rounding of each knot, out of its CDF
     cdf[1:-1] -= pdf[1:-1] * err[1:-1]
-    return RadialCdfTable(
-        params=p, knots=knots, cdf_values=np.minimum(cdf, 1.0),
-        pdf_values=pdf, r_max=float(knots[-1]), log_norm=log_norm)
+    return RadialCdfTable(params=p, knots=knots,
+                          cdf_values=np.minimum(cdf, 1.0), pdf_values=pdf)
 
 
 @lru_cache(maxsize=64)
@@ -314,9 +299,7 @@ def sample(params: core.Params, n: int, gen) -> np.ndarray:
     the layout and the draws unchanged bit for bit; no other thread may use
     ``gen`` until the call returns.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    rng = _as_rng(gen)
+    rng = core._as_rng(n, gen)
     p = params.radial
     table = _cached_table(p)
     radii = partial(table.inverse_cdf, rng.random(n))  # uniforms first

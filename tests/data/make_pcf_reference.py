@@ -64,7 +64,11 @@ QUANTILE_LAWS = [(d, -math.sqrt(10.0 ** k)) for k in (4, 6, 8)
                  for d in (1, 2, 3)] + [
     (1, 0.0), (2, -2.0), (3, 1.0), (5, -0.5), (12, 4.0)] + [
     (d, z) for z in (1e3, 1e4) for d in (1, 2, 3)]
-QUANTILE_LEVELS = [1e-12, 1e-6, 0.01, 0.5, 0.99, 1 - 1e-6, 1 - 1e-12]
+# decades, and the levels between them (3e-12 ... 1 - 3e-4), where the
+# sampler's tail cells are widest
+QUANTILE_LEVELS = [1e-12, 3e-12, 3e-9, 1e-6, 3e-6, 3e-4, 0.01, 0.5, 0.99,
+                   1 - 3e-4, 1 - 3e-6, 1 - 1e-6, 1 - 3e-9, 1 - 3e-12,
+                   1 - 1e-12]
 
 
 def script_sha256() -> str:

@@ -103,12 +103,23 @@ def test_logz_invalid_parameters_exit_2(runner):
      "alpha": 3.0},
     {"dim": 2, "param_form": "ring", "alpha": 3.0},
     {"dim": 2, "param_form": "polar", "alpha": 3.0, "R": 1.0},
+    {"dim": 2, "param_form": ["radial"], "lambda1": 1.0, "lambda2": 1.0},
+    # fields that are not real numbers
+    {"dim": "3", "param_form": "radial", "lambda1": 1.0, "lambda2": 1.0},
+    {"dim": 3, "param_form": "radial", "lambda1": "1", "lambda2": 1.0},
+    {"dim": 3, "param_form": "radial", "lambda1": None, "lambda2": 1.0},
+    {"dim": 3, "param_form": "ring", "alpha": 4.0, "R": [1]},
+    {"dim": 3, "param_form": "radial", "lambda1": 1.0, "lambda2": 1.0,
+     "mu": "ab"},
+    {"dim": 3, "param_form": "radial", "lambda1": 1.0, "lambda2": 1.0,
+     "sigma": [[1, 0, 0], [0, 1], [0, 0, 1]]},
 ])
 def test_malformed_params_files_exit_2(runner, tmp_path, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    res = runner.invoke(cli.main, ["logz", "--params", str(path)])
-    assert res.exit_code == 2
+    for command in ("logz", "entropy"):
+        res = runner.invoke(cli.main, [command, "--params", str(path)])
+        assert res.exit_code == 2, res.output
 
 
 def test_params_file_with_location_and_shape(runner, tmp_path):
@@ -261,9 +272,7 @@ def test_fit_with_undefined_standard_errors_exits_3(runner, ring_file,
 def test_fit_stopped_at_its_iteration_cap_reports_json(runner, ring_file,
                                                       tmp_path, monkeypatch):
     draws = _ring_draws(runner, ring_file, tmp_path)
-    capped = fit.fit_moments
-    monkeypatch.setattr(fit, "fit_moments", lambda dim, mom: capped(
-        dim, mom, max_iterations=1))
+    monkeypatch.setattr(fit, "_MAX_ITERATIONS", 1)
     res = runner.invoke(cli.main, ["fit", "--input", draws,
                                    "--model", "spherical"])
     assert res.exit_code == 0

@@ -70,6 +70,9 @@ def test_radial_params_basic():
     assert core.mode_radius(p) > 0.0
     assert core.mode_radius(core.RadialParams(3, -4.0, 1.5)) == 0.0
     assert core.mode_radius(core.RadialParams(3, 0.0, 1.5)) == 0.0
+    # numpy scalars are real numbers too, stored as Python int and float
+    q = core.RadialParams(np.int64(3), np.float32(4.0), np.float64(1.5))
+    assert q == p and type(q.dim) is int and type(q.lambda1) is float
 
 
 @pytest.mark.parametrize("dim,l1,l2", [
@@ -83,10 +86,32 @@ def test_radial_params_basic():
     (2, 1.0, -3.0),
     (2, 1.0, math.nan),
     (2, 1.0, 1e308),  # 2 lambda2 overflows
+    ("3", 1.0, 1.0),  # fields that are not real numbers
+    (3, "1", 1.0),
+    (3, None, 1.0),
+    (3, 1.0, True),
 ])
 def test_radial_params_rejects_bad_input(dim, l1, l2):
     with pytest.raises(DomainError):
         core.RadialParams(dim, l1, l2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: core.RadialParams(3, 10 ** 400, 1.0),
+    lambda: core.RingParams(3, 1.0, [1.0]),
+    lambda: core.RingParams(3.5, 1.0, 1.0),
+    lambda: core.EllipticalParams("ab", np.eye(2), core.RadialParams(2, 1, 1)),
+    lambda: core.EllipticalParams([0, 0], [[1, 0], [0]],
+                                  core.RadialParams(2, 1, 1)),
+    lambda: core.EllipticalParams([0, None], np.eye(2),
+                                  core.RadialParams(2, 1, 1)),
+    lambda: core.eg_reference([["1", "0"], ["0", "1"]], 1.0, 1.0),
+    lambda: core.MomentPair("1", 2.0),
+], ids=["lambda1-huge-int", "radius-list", "ring-dim-2.5", "mu-str",
+        "sigma-ragged", "mu-none", "eg-sigma-str", "c2-str"])
+def test_fields_that_are_not_real_numbers_raise_domain_error(make):
+    with pytest.raises(DomainError, match="must be"):
+        make()
 
 
 def test_radial_params_frozen():
@@ -414,7 +439,7 @@ def test_moments_beyond_the_pcf_domain_raise_domain_error(dim, l1, l2):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("method", ["pcf", "quadrature"])
+@pytest.mark.parametrize("method", ["pcf", "auto"])
 def test_radial_moment_overflow_raises(method):
     """E[r**8] is ~1e399 there: ConvergenceError, never a silent inf."""
     p = core.RadialParams(3, -1e-160, 1e-200)
@@ -423,13 +448,15 @@ def test_radial_moment_overflow_raises(method):
         core.radial_moment(p, 8, method)
 
 
-def test_radial_moment_by_quadrature_agrees_with_pcf():
+def test_radial_moment_has_one_route():
+    """"pcf" and "auto" are the one route; log Z's quadrature oracle has
+    no moment counterpart."""
     p = core.RadialParams(3, 4.0, 1.5)
-    expected = [core.radial_moment(p, k, "pcf") for k in (2, 4, 6, 8)]
-    got = [core.radial_moment(p, k, "quadrature") for k in (2, 4, 6, 8)]
-    np.testing.assert_allclose(got, expected, rtol=1e-9)
-    with pytest.raises(DomainError):
-        core.radial_moment(p, 2, "lifted")
+    for k in (2, 4, 6, 8):
+        assert core.radial_moment(p, k, "pcf") == core.radial_moment(p, k)
+    for method in ("quadrature", "lifted"):
+        with pytest.raises(DomainError, match="unknown method"):
+            core.radial_moment(p, 2, method)
 
 
 def test_radial_moment_rejects_odd_order():
@@ -755,6 +782,20 @@ def test_eg_sample_rejects_bad_counts(n):
     eg = core.eg_reference(np.eye(2), 3.0, 0.5)
     with pytest.raises(DomainError, match="n must be a positive integer"):
         eg.sample(n, np.random.default_rng(1))
+
+
+def test_eg_sample_takes_what_sample_takes():
+    """An integer seed, a SeededGenerator and a numpy Generator, checked
+    as sampling.sample checks them."""
+    eg = core.eg_reference(np.eye(2), 3.0, 0.5)
+    x = eg.sample(100, 7)
+    for gen in (sampling.SeededGenerator(7), np.int64(7),
+                np.random.Generator(np.random.PCG64(7))):
+        np.testing.assert_array_equal(eg.sample(100, gen), x)
+    assert sampling.SeededGenerator is core.SeededGenerator
+    for gen in ("7", True, 7.0, None):
+        with pytest.raises(DomainError, match="gen must be"):
+            eg.sample(10, gen)
 
 
 def test_eg_reference_rejects_bad_shape_matrix():

@@ -18,6 +18,9 @@ def test_gaussian_moment_ratio():
     assert fit.gaussian_moment_ratio(2) == 2.0
     np.testing.assert_allclose(fit.gaussian_moment_ratio(3), 5.0 / 3.0,
                                rtol=1e-15)
+    for dim in (2.5, True, "3", 0, None):
+        with pytest.raises(DomainError, match="positive integer"):
+            fit.gaussian_moment_ratio(dim)
 
 
 @pytest.mark.parametrize("dim,l1,l2", [
@@ -61,10 +64,11 @@ def test_report_fields():
     assert max(report.residual) <= 1e-10
 
 
-def test_iteration_budget_gives_unconverged_report():
+def test_iteration_budget_gives_unconverged_report(monkeypatch):
     p = core.RadialParams(3, 4.0, 1.5)
     mom = core.MomentPair(core.radial_moment(p, 2), core.radial_moment(p, 4))
-    report = fit.fit_moments(3, mom, max_iterations=2)
+    monkeypatch.setattr(fit, "_MAX_ITERATIONS", 2)
+    report = fit.fit_moments(3, mom)
     assert not report.converged
     assert report.iterations == 2
 
@@ -210,18 +214,45 @@ def test_standard_errors_of_a_singular_covariance_raise(monkeypatch, schur):
         fit.parameter_standard_errors(p, 100)
 
 
-def test_report_at_the_iteration_cap_holds_plain_floats():
+def test_report_at_the_iteration_cap_holds_plain_floats(monkeypatch):
     p = core.RadialParams(3, 4.0, 1.5)
     m2, m4 = core.radial_moment(p, 2), core.radial_moment(p, 4)
-    report = fit.fit_moments(3, core.MomentPair(m2, 1.01 * m4),
-                             max_iterations=1)
+    monkeypatch.setattr(fit, "_MAX_ITERATIONS", 1)
+    report = fit.fit_moments(3, core.MomentPair(m2, 1.01 * m4))
     assert type(report.converged) is bool and not report.converged
     assert all(type(r) is float for r in report.residual)
 
 
-def test_iteration_budget_must_allow_one_evaluation():
-    with pytest.raises(DomainError):
-        fit.fit_moments(3, core.MomentPair(1.0, 1.4), max_iterations=0)
+@pytest.mark.parametrize("dim,l1,l2", [(3, 4.0, 1.5), (2, -3.0, 2.0),
+                                       (5, 40.0, 2.0)])
+@pytest.mark.parametrize("bad", [1, 2, 3])
+def test_newton_step_out_of_the_bracket_falls_back(monkeypatch, dim, l1, l2,
+                                                   bad):
+    """At evaluation ``bad`` the slope reads nonpositive (mu3 made huge),
+    so Newton has no step and the fit takes the bracket's midpoint, or a
+    step past its one finite end; it still converges, and every z it
+    evaluates lies strictly inside the bracket of those before it."""
+    p = core.RadialParams(dim, l1, l2)
+    mom = core.MomentPair(core.radial_moment(p, 2), core.radial_moment(p, 4))
+    target = (mom.c4 - mom.c2 ** 2) / mom.c2 ** 2
+    standard, seen = core._standard, []
+
+    def skewed(d, z):
+        log_i, log_p, t, (e1, e2, e3, e4) = standard(d, z)
+        seen.append((z, (e2 - e1 * e1) / (1.0 + e1) ** 2 > target))
+        if len(seen) == bad:
+            e3 += 1e6 * (1.0 + abs(e3))
+        return log_i, log_p, t, (e1, e2, e3, e4)
+
+    monkeypatch.setattr(core, "_standard", skewed)
+    report = fit.fit_moments(dim, mom)
+    assert report.converged and len(seen) > bad
+    lo, hi = -math.inf, math.inf
+    for z, above in seen:
+        assert lo < z < hi
+        lo, hi = (lo, z) if above else (z, hi)
+    np.testing.assert_allclose([report.params.lambda1, report.params.lambda2],
+                               [l1, l2], rtol=1e-9)
 
 
 def test_trace_follows_the_iterates():

@@ -82,6 +82,21 @@ def test_table_cdf_properties(dim, l1, l2):
     assert np.max(np.maximum.accumulate(v, axis=1) - v) <= 1e-14
 
 
+@pytest.mark.parametrize("l1,l2", [
+    (-3.0, 0.5), (0.0, 0.5), (2.0, 0.5), (-1e4, 0.5), (1e-200, 1.0),
+    (-2e158, 1e-300), (-1e200, 1.0),
+    (5.77434737620324e-249, 1.4373865347733858e33)])
+def test_one_dimensional_table_starts_at_the_density_of_the_origin(l1, l2):
+    """At D = 1 the radius has density 2 / Z at r = 0, which the table
+    takes from its own mass; elsewhere it vanishes there."""
+    p = core.RadialParams(1, l1, l2)
+    want = 2.0 * math.exp(-core.log_norm_const(p))
+    got = sampling.build_radial_table(p).pdf_values[0]
+    np.testing.assert_allclose(got, want, rtol=1e-13)
+    assert sampling.build_radial_table(
+        core.RadialParams(2, l1, l2)).pdf_values[0] == 0.0
+
+
 def test_thin_ring_table_resolves_the_ring():
     """A ring of width ~5e-5 at R = 1 keeps its knots inside the mass."""
     table = sampling.build_radial_table(THIN_RINGS[1])
@@ -116,7 +131,7 @@ def test_sample_thin_ring_width():
     (p.dim, p.lambda1, p.lambda2) for p in THIN_RINGS])
 def test_table_inverse_round_trip(dim, l1, l2):
     table = sampling.build_radial_table(core.RadialParams(dim, l1, l2))
-    # tail levels fall in the log-spaced edge cells, where Newton can stall
+    # tail levels fall in the tail ladders' cells, where Newton can stall
     # and bisection takes over
     tail = np.array([1e-13, 1e-11, 1e-9, 1e-7, 1e-5, 1e-4])
     u = np.unique(np.concatenate(
@@ -133,8 +148,11 @@ def test_table_inverse_round_trip(dim, l1, l2):
 def test_guide_finds_the_searchsorted_cell(params):
     table = sampling.build_radial_table(params)
     c, m = table.cdf_values, sampling._GUIDE
-    # the log-spaced edge knots share guide buckets, so lookups must step
-    assert np.max(np.unique(np.floor(c * m), return_counts=True)[1]) > 2
+    # the tail ladders fill the two end buckets, which lookups search; the
+    # inner buckets hold up to two knots, past which lookups step
+    b = np.floor(c * m)
+    inner = np.unique(b[(b >= 1) & (b <= m - 2)], return_counts=True)[1]
+    assert np.max(inner) > 1 and min(np.sum(b == 0), np.sum(b >= m - 1)) > 30
     # u = 0 and 1, every knot CDF and its one-ulp neighbours, every guide
     # edge and 1e5 uniforms
     u = np.clip(np.concatenate(
@@ -153,8 +171,7 @@ def test_table_from_public_constructor():
     table = sampling.RadialCdfTable(
         params=built.params, knots=built.knots.copy(),
         cdf_values=built.cdf_values.copy(),
-        pdf_values=built.pdf_values.copy(), r_max=built.r_max,
-        log_norm=built.log_norm)
+        pdf_values=built.pdf_values.copy())
     u = np.random.default_rng(3).random(50000)
     r = built.inverse_cdf(u)
     np.testing.assert_array_equal(table.inverse_cdf(u), r)
@@ -378,7 +395,7 @@ def _cell_tolerance(table, idx):
 @pytest.mark.parametrize("params", [
     core.RadialParams(*shape) for shape in SHAPES] + THIN_RINGS, ids=str)
 def test_tail_quantiles_are_the_cell_root(params):
-    # the log-spaced edge cells carry 1e-17 to 1e-4 of the mass; a level
+    # the tail ladders' cells carry 1e-17 to 1e-3 of the mass; a level
     # in them must come out as the root of its cell's cubic, not as any
     # iterate whose residual is below an absolute floor
     table = sampling.build_radial_table(params)
@@ -450,8 +467,7 @@ def test_flat_last_cell_inverts_one_to_r_max():
     cdf[-2] = 1.0
     table = sampling.RadialCdfTable(
         params=built.params, knots=built.knots.copy(), cdf_values=cdf,
-        pdf_values=built.pdf_values.copy(), r_max=built.r_max,
-        log_norm=built.log_norm)
+        pdf_values=built.pdf_values.copy())
     assert table.inverse_cdf(1.0) == table.r_max
     np.testing.assert_array_equal(table.inverse_cdf(np.ones(3)),
                                   table.r_max)
@@ -537,14 +553,19 @@ def test_table_where_lambda1_squared_overflows(dim, lambda1):
 # lambda1 = -z exactly), written by tests/data/make_pcf_reference.py
 QUANTILES = json.loads((Path(__file__).parent / "data"
                         / "pcf_reference.json").read_text())["quantile_points"]
-# relative bound per level (measured worst: 1.3e-9, 1.3e-11, 9.0e-10,
-# 1.3e-15, 4.1e-10, 2.3e-8, 4.9e-6); the tail bounds leave room for a
-# layout whose knots miss the decades (a uniform pilot grid measured
-# 2.8e-5, 1.5e-7 and 3.5e-5 there).  The tail levels are decades, so
-# they fall on or next to the log-spaced knots; between these the edge
-# cells' cubics are up to 3e-3 off in radius
+# relative bound per level.  At the decades (measured worst: 1.3e-9,
+# 4.1e-13, 1.6e-9, 1.3e-15, 7.6e-10, 6.9e-10, 4.8e-6) the tail bounds
+# leave room for a layout whose knots miss them (a uniform pilot grid
+# measured 2.8e-5, 1.5e-7 and 3.5e-5 there).  Between the decades (3e-12,
+# 3e-9, 3e-6, 3e-4 and their complements; measured worst 2.9e-7, and
+# 2.8e-6 at 1 - 3e-12, where the CDF's rounding near 1 dominates) the
+# tail ladders' cells are 10**(1/8) wide; decade-wide cells were up to
+# 3.8e-3 off there
 QUANTILE_BOUND = {1e-12: 5e-5, 1e-6: 3e-7, 0.01: 2e-9, 0.5: 1e-14,
-                  0.99: 1e-9, 1 - 1e-6: 5e-8, 1 - 1e-12: 5e-5}
+                  0.99: 1e-9, 1 - 1e-6: 5e-8, 1 - 1e-12: 5e-5,
+                  3e-12: 1e-6, 3e-9: 1e-6, 3e-6: 1e-6, 3e-4: 1e-6,
+                  1 - 3e-4: 1e-6, 1 - 3e-6: 1e-6, 1 - 3e-9: 1e-6,
+                  1 - 3e-12: 2e-5}
 
 
 @pytest.mark.parametrize("dim,z", sorted({(r[0], r[1]) for r in QUANTILES}))
