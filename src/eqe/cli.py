@@ -371,16 +371,12 @@ def _selfcheck_checks():
 
 
 @main.command("selfcheck")
-@click.option("--inject-failure", is_flag=True, hidden=True)
 @_mapped_errors
-def cmd_selfcheck(inject_failure):
+def cmd_selfcheck():
     """Run the internal consistency suite; exit 5 if anything fails."""
-    checks = _selfcheck_checks()
-    if inject_failure:
-        checks.append(("injected_failure", 1.0, 0.0))
     report = []
     all_ok = True
-    for name, observed, bound in checks:
+    for name, observed, bound in _selfcheck_checks():
         ok = observed <= bound
         all_ok = all_ok and ok
         report.append({"name": name, "observed": observed,

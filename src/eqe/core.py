@@ -10,9 +10,10 @@ y**(D/2-1) exp(lambda1 y - lambda2 y**2) over y = r**2 > 0, in u = s y,
 s = sqrt(2 lambda2), of the standard law u**(D/2-1) e**(-z u - u**2/2) of
 shape (D, z), z = -lambda1 / s: they are computed, and cached, on it, and
 the scale applied once.  Its integral has a closed form in the parabolic
-cylinder function.  log_norm_const exposes both that route and direct
-quadrature; they are developed and tested independently, and the pair
-doubles as a cross-check in the CLI selfcheck.
+cylinder function (specfun).  log_norm_const's "quadrature" method takes
+it instead from the tanh-sinh oracle (quadrature.log_integral); the two
+modules share no code, and the pair doubles as a cross-check in the CLI
+selfcheck.
 """
 
 from __future__ import annotations
@@ -333,60 +334,6 @@ def _standard(dim: int, z: float) -> tuple:
     return specfun._integral(-0.5 * dim, z, 4)
 
 
-def _about_peak(power: float, z: float) -> tuple:
-    """power ln u - z u - u**2/2 about its peak u* > 0 (of -z u - u**2/2
-    if power <= 0; u* = 0 if none): u*, shift, a = u***2/2 and c = -z - u*
-    such that at u = u* s it is shift + power ln s + (s - 1)(u* c - a (s -
-    1)).  c cancels no rounded terms: where it cancels, -z and u* are
-    within a factor 2 and their difference is exact (Sterbenz)."""
-    # the positive root of u^2 + z u - power, cancellation-free
-    q = max(power, 0.0)
-    disc = math.hypot(z, 2.0 * math.sqrt(q))
-    peak = (0.5 * (disc - z) if z < 0 else
-            q / (0.5 * disc + 0.5 * z) if q else 0.0)
-    a, c = 0.5 * peak * peak, -z - peak
-    shift = power * math.log(peak) + peak * c + a if peak > 0 else 0.0
-    return peak, shift, a, c
-
-
-@lru_cache(maxsize=512)
-def _log_z_quadrature(dim: int, z: float) -> float:
-    # log of the integral of u**power e**(-z u - u**2/2) over u > 0
-    if not -1e154 < z < math.inf:  # the pcf route's domain
-        raise DomainError(f"quadrature log Z needs a finite z > -1e154: {z}")
-    power = 0.5 * dim - 1.0
-    peak, shift, a, c = _about_peak(power, z)
-    if a > 40.0:
-        # u = u* v**w, w = 1 / sqrt(power + 2 a), makes the peak O(1) wide
-        # in v, where tanh-sinh's coarse levels resolve it at any contrast.
-        # Only where the v -> 0 end holds no mass (e**-a < 1e-17): below,
-        # v**(w (power + 1) - 1) is near-singular at D = 1
-        w = 1.0 / math.sqrt(power + 2.0 * a)
-        scale, c = peak * w, peak * c
-
-        def integrand(v):
-            lv = np.log(v)
-            e = np.expm1(w * lv)
-            return np.exp((w * (power + 1.0) - 1.0) * lv + e * (c - a * e))
-    else:
-        # u = m s, m = 2.8 t with t the peak of u**2 times the integrand,
-        # puts the mass on the rule's coarse nodes for every D, whether
-        # the peak is broad or at u = 0; off scales the integrand by its
-        # peak value, or it underflows at large D
-        scale = 2.8 * _about_peak(power + 2.0, z)[0]
-        off = shift - power * math.log(scale)
-
-        def integrand(s):
-            u = scale * s
-            return np.exp(power * np.log(s) - u * (z + 0.5 * u) - off)
-
-    res = quadrature.integrate_semi_infinite(integrand)
-    if not res.value > 0.0:
-        raise ConvergenceError(f"quadrature gave a nonpositive integral for "
-                               f"dim={dim}, z={z}")
-    return shift + math.log(scale) + math.log(res.value)
-
-
 def _log_scale(params: Params) -> float:
     """log Z minus log I of the standard law: log S_{D-1} - ln 2 - (D/4)
     ln(2 lambda2) + (1/2) log det sigma."""
@@ -402,7 +349,7 @@ def log_norm_const_info(params: Params, method: Method = "auto") -> LogNormInfo:
         raise DomainError(f"unknown method {method!r}")
     p = params.radial
     if method == "quadrature":
-        log_i, route = _log_z_quadrature(p.dim, _z(p)), "quadrature"
+        log_i, route = quadrature.log_integral(p.dim, _z(p)), "quadrature"
     else:
         log_i, route = _standard(p.dim, _z(p))[0], "pcf"
     return LogNormInfo(log_i + _log_scale(params), route, False)
@@ -421,14 +368,12 @@ def log_norm_const_d2_closed(lambda1: float, lambda2: float) -> float:
     """Closed form for dim = 2, where D_-1 collapses to an erf.
 
     Z_2 = (pi/2) sqrt(pi/lambda2) e**(lambda1**2/(4 lambda2))
-          erfc(-lambda1 / (2 sqrt(lambda2))).
+          erfc(-lambda1 / (2 sqrt(lambda2))); the arguments are checked as
+    RadialParams checks them.
     """
-    if not (math.isfinite(lambda2) and lambda2 > 0):
-        raise DomainError(f"lambda2 must be positive, got {lambda2}")
-    if not math.isfinite(lambda1):
-        raise DomainError(f"lambda1 must be finite, got {lambda1}")
-    w = -lambda1 / (2.0 * math.sqrt(lambda2))
-    return (math.log(0.5 * math.pi) + 0.5 * (_LN_PI - math.log(lambda2))
+    p = RadialParams(2, lambda1, lambda2)
+    w = -p.lambda1 / (2.0 * math.sqrt(p.lambda2))
+    return (math.log(0.5 * math.pi) + 0.5 * (_LN_PI - math.log(p.lambda2))
             + _log_erfc_scaled(w))
 
 
@@ -452,13 +397,14 @@ def log_norm_const_d1_neg(lambda1: float, lambda2: float) -> float:
     """Closed form for dim = 1 with lambda1 < 0, via K_{1/4}.
 
     Z_1 = (1/2) sqrt(-lambda1/lambda2) e**w K_{1/4}(w),
-    w = lambda1**2 / (8 lambda2); ConvergenceError where w is not a double.
+    w = lambda1**2 / (8 lambda2); the arguments are checked as RadialParams
+    checks them, and ConvergenceError where w is not a double.
     """
-    if not -math.inf < lambda1 < 0:
+    p = RadialParams(1, lambda1, lambda2)
+    lambda1, lambda2 = p.lambda1, p.lambda2
+    if not lambda1 < 0:
         raise DomainError(
-            f"this closed form requires a finite lambda1 < 0, got {lambda1}")
-    if not (math.isfinite(lambda2) and lambda2 > 0):
-        raise DomainError(f"lambda2 must be positive, got {lambda2}")
+            f"this closed form requires lambda1 < 0, got {lambda1}")
     r = lambda1 / math.sqrt(lambda2) / math.sqrt(8.0)
     w = r * r  # lambda1**2 itself may overflow or underflow
     if not 0.0 < w < math.inf:

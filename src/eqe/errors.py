@@ -8,16 +8,12 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative numerical scheme failed to reach its tolerance.
+    """A numerical scheme failed to reach its tolerance, or its result is
+    not a double.  ``work`` is the work it spent where that is counted
+    (quadrature evaluations), else None."""
 
-    Carries the best estimate produced so far (when one exists) and the
-    amount of work spent, so callers can decide whether to fall back to a
-    different method or give up.
-    """
-
-    def __init__(self, message: str, *, best_estimate=None, work: int | None = None):
+    def __init__(self, message: str, *, work: int | None = None):
         super().__init__(message)
-        self.best_estimate = best_estimate
         self.work = work
 
 

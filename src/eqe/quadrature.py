@@ -1,22 +1,24 @@
-"""Two deterministic quadrature rules that share no code.
+"""The tanh-sinh log Z oracle, which shares no code with the pcf route.
 
-integrate_semi_infinite is double-exponential (tanh-sinh) quadrature over
-(0, infinity), used only as the independent oracle that the closed-form
-routes are tested against (log_norm_const's "quadrature" method), so this
-module deliberately depends on nothing else in the package.  It is one
-fixed rule: the trapezoid rule in the transformed variable is refined by
-halving the step, reusing the nodes already evaluated, until two levels
-agree to 1e-11 relative, or it raises ConvergenceError at level 12
-(78,643 evaluations; every log Z stops by level 5, 615 evaluations).  The
-result is a pure function of the integrand, which maps an array of nodes
-to an array of values, and the error estimate is the last-level
-difference.  Integrable endpoint singularities up to y**(-1/2) are
-absorbed by the double-exponential weight decay.  Each level's nodes and
-weights are built once and kept read-only: about 1.3 MB for all 13.
+log_integral(dim, z) is the log of the integral of u**(D/2-1) e**(-z u -
+u**2/2) over u > 0, the standard law of shape (D, z) whose closed form
+specfun computes through D_nu.  It is the independent oracle that closed
+form is tested against (log_norm_const's "quadrature" method), so this
+module depends on nothing else in the package but its errors.  One map u
+= m v**w puts the integrand's mass where tanh-sinh's coarse levels
+resolve it, and the integrand is written about u = m, so that neither
+its peak nor its scale enters as a large difference.
 
-gauss_legendre_panels is a fixed 24-point Gauss-Legendre rule on panels
-the caller places around a smooth, already located peak: the integrals of
-D_nu and K_{1/4} and the sampler's radial CDF table use it.
+integrate_semi_infinite is one fixed rule: the trapezoid rule in the
+transformed variable is refined by halving the step, reusing the nodes
+already evaluated, until two levels agree to 1e-11 relative, or it raises
+ConvergenceError at level 12 (78,643 evaluations; every log Z stops by
+level 5, 615 evaluations).  The result is a pure function of the
+integrand, which maps an array of nodes to an array of values, and the
+error estimate is the last-level difference.  Integrable endpoint
+singularities up to y**(-1/2) are absorbed by the double-exponential
+weight decay.  Each level's nodes and weights are built once and kept
+read-only: about 1.3 MB for all 13.
 """
 
 from __future__ import annotations
@@ -37,18 +39,6 @@ _BASE_STEP = 0.5
 _T_MAX = 4.8
 _MAX_LEVEL = 12
 _REL_TOL = 1e-11
-# numpy.polynomial.legendre.leggauss(24), frozen (it is symmetric bit for
-# bit), so that no process imports numpy.polynomial and its LAPACK call
-_GL_HALF = np.array([float.fromhex(v) for v in """
-1.0660853eda2e8p-4 1.8769542b94f8dp-3 1.429a8c588e910p-2 1.bc345d81e24b5p-2
-1.17417bac4d72bp-1 1.4bd2ee5fa1086p-1 1.7af18edb9ddd6p-1 1.a3d74ce0d3700p-1
-1.c5d841864d0f5p-1 1.e06585a70aa4dp-1 1.f30f9f0cbf876p-1 1.fd892de691982p-1
-1.060475e763731p-3 1.01b7117cf8bd6p-3 1.f25cbce1d1fefp-4 1.d91c78acb1b27p-4
-1.b8177ba4a68d7p-4 1.8fd8936444b19p-4 1.6108ef5044635p-4 1.2c6d5c2eff05ap-4
-1.e5c6255d25e9dp-5 1.6ab884f57c940p-5 1.d375514486effp-6 1.9465bd311255dp-7
-""".split()]).reshape(2, 12)
-_GL_NODES = np.concatenate((-_GL_HALF[0, ::-1], _GL_HALF[0]))
-_GL_WEIGHTS = np.concatenate((_GL_HALF[1, ::-1], _GL_HALF[1]))
 
 
 @dataclass(frozen=True)
@@ -56,6 +46,57 @@ class QuadResult:
     value: float
     error_estimate: float
     evaluations: int
+
+
+def _peak(power: float, z: float) -> float:
+    """The peak u* > 0 of power ln u - z u - u**2/2, the positive root of
+    u**2 + z u = power (of -z u - u**2/2 where power <= 0; 0 if it has
+    none), free of cancellation."""
+    q = max(power, 0.0)
+    disc = math.hypot(z, 2.0 * math.sqrt(q))
+    return (0.5 * (disc - z) if z < 0 else
+            q / (0.5 * disc + 0.5 * z) if q else 0.0)
+
+
+def log_integral(dim: int, z: float) -> float:
+    """log of the integral of u**(D/2-1) e**(-z u - u**2/2) over u > 0, D
+    = dim, for finite z > -1e154, by tanh-sinh in v, u = m v**w.
+
+    Where the peak u* is narrow, u***2/2 > 40, m = u* and w = 1 / sqrt(D/2
+    - 1 + u***2) make it O(1) wide in v, where the coarse levels resolve
+    it at any contrast; its v -> 0 end then holds no mass (e**-40), where
+    v**(w D/2 - 1) is near-singular at D = 1.  Elsewhere m = 2.8 t, t the
+    peak of u**2 times the integrand, and w = 1 put the mass on the
+    coarse nodes for every D, whether the peak is broad or at u = 0.
+    With E = expm1(w ln v), c = -z - m and h = m**2/2 the integrand is
+    v**(w D/2 - 1) e**(E (m c - h E) - top) times m w e**shift, shift =
+    (D/2 - 1) ln m + m c + h + top; c cancels no rounded terms, since
+    where it cancels -z and m are within a factor 2 and their difference
+    is exact (Sterbenz).  top, the exponent at the peak v = (u*/m)**(1/w),
+    is 0 where m = u*; taken out, it keeps a broad peak at D ~ 2000, e**700
+    above u = m, from overflowing.
+    """
+    if not -1e154 < z < math.inf:  # the pcf route's domain
+        raise DomainError(f"quadrature log Z needs a finite z > -1e154: {z}")
+    half = 0.5 * dim
+    peak = _peak(half - 1.0, z)
+    if 0.5 * peak * peak > 40.0:
+        m, w = peak, 1.0 / math.sqrt(half - 1.0 + peak * peak)
+    else:
+        m, w = 2.8 * _peak(half + 1.0, z), 1.0
+    mc, h, k = m * (-z - m), 0.5 * m * m, w * half - 1.0
+
+    def log_f(lv):
+        e = np.expm1(w * lv)
+        return k * lv + e * (mc - h * e)
+
+    top = float(log_f(math.log(peak / m) / w)) if peak > 0.0 else 0.0
+    res = integrate_semi_infinite(lambda v: np.exp(log_f(np.log(v)) - top))
+    if not res.value > 0.0:
+        raise ConvergenceError(f"quadrature gave a nonpositive integral for "
+                               f"dim={dim}, z={z}")
+    shift = (half - 1.0) * math.log(m) + mc + h + top
+    return shift + math.log(m * w) + math.log(res.value)
 
 
 def _evaluate(f: Callable[[np.ndarray], np.ndarray],
@@ -114,25 +155,5 @@ def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray]
                 and diff <= _REL_TOL * abs(value)):
             return QuadResult(value, max(diff, _EPS * abs(value)), evals)
         prev = value
-    raise ConvergenceError(
-        "quadrature evaluation budget exhausted",
-        best_estimate=QuadResult(value, diff, evals), work=evals)
-
-
-def gauss_legendre_panels(log_f: Callable[[np.ndarray], np.ndarray],
-                          lo: np.ndarray, hi: np.ndarray, g=None,
-                          order: int = 0) -> np.ndarray:
-    """Integral of exp(log_f(x)) over each panel [lo_i, hi_i], by the
-    24-point Gauss-Legendre rule; given g, the integrals of exp(log_f(x))
-    g(x)**i, i = 0..order, over all the panels together."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    f = np.exp(log_f(nodes))
-    if g is None:
-        return (f @ _GL_WEIGHTS) * half
-    rows, gx = np.empty((order + 1, *f.shape)), g(nodes)
-    rows[0] = f
-    for i in range(order):
-        np.multiply(rows[i], gx, out=rows[i + 1])
-    return (rows @ _GL_WEIGHTS) @ half
+    raise ConvergenceError("quadrature evaluation budget exhausted",
+                           work=evals)

@@ -4,13 +4,14 @@ Directions on the sphere are trivial (normalized Gaussians); all the work
 is in the radius r, whose density is proportional to r**(D-1) exp(lambda1
 r**2 - lambda2 r**4).  In u = sqrt(2 lambda2) r**2 that is the standard law
 u**(D/2-1) e**(-z u - u**2/2) of shape (D, z), whose integral is log Z's,
-and the table is built on that integral's own Gauss-Legendre panels, in d =
-ln(u / t*): each panel is cut into 64 equal sub-panels, integrated in one
-pass.  Knots go uniformly in the CDF, and 10**(1/8) apart in the tails;
-each knot's CDF is the sub-panel mass up to its sub-panel plus one panel
-to the knot, near machine accuracy.  A cubic Hermite interpolant with exact
-density derivatives represents the CDF between knots; the table builds each
-cell's cubic once.  Inversion finds each level's knot cell through a guide
+and the table is built on that integral's own Gauss-Legendre panels
+(specfun), in d = ln(u / t*): each panel is cut into 64 equal sub-panels,
+integrated in one pass.  Knots go uniformly in the CDF, and 10**(1/8)
+apart in the tails, each placed by interpolating its log-odds; each
+knot's CDF is the sub-panel mass up to its sub-panel plus one panel to the
+knot, near machine accuracy.  A cubic Hermite interpolant with exact
+density derivatives represents the CDF between knots; the table builds
+each cell's cubic once.  Inversion finds each level's knot cell through a guide
 index (Chen & Asau 1974; Devroye 1986, sec. III.2.4): [0, 1] is cut into
 4096 equal buckets, each recording the last knot at or below its left edge,
 and a level steps on from its bucket's knot past the few knots inside the
@@ -41,7 +42,7 @@ import numpy as np
 from . import core, specfun
 from .core import SeededGenerator  # noqa: F401 (re-exported)
 from .errors import DomainError
-from .quadrature import gauss_legendre_panels
+from .specfun import gauss_legendre_panels
 
 _SUB = 64  # equal sub-panels per panel of log Z's integral
 _UNIFORM = 2048  # the middle knots are 1 / _UNIFORM apart in the CDF
@@ -247,17 +248,14 @@ def build_radial_table(params: core.Params) -> RadialCdfTable:
     targets = np.concatenate((
         [0.0], low, even[(even > low[-1]) & (even < 1.0 - high[-1])],
         1.0 - high[::-1], [1.0]))
-    # each placed by the log of the mass below it, or in the upper half of
-    # the mass above it, summed from that end: near linear in both tails
+    # each placed by its log-odds, the log of the mass below it less that
+    # of the mass above, each summed from its own end: they increase, and
+    # are near linear in both tails
     above = np.append(np.cumsum(mass[::-1])[::-1], 0.0)
     with np.errstate(divide="ignore"):  # log 0 at the ends
-        d = np.where(targets > 0.5, np.interp(
-            -np.log1p(-targets), math.log(total) - np.log(above), grid),
-            np.interp(np.log(targets), np.log(cum / total), grid))
+        d = np.interp(np.log(targets) - np.log1p(-targets),
+                      np.log(cum) - np.log(above), grid)
     d[0], d[-1] = -np.inf, grid[-1]  # r = 0 and the panels' end
-    # linear in log(1 - F), the upper interpolation lies below the lower,
-    # linear in log F: where they meet at 0.5 a knot may fall back
-    np.maximum.accumulate(d, out=d)
     # each radius once: r* w, with w = e**(d/2) off 1 + expm1(d/2) by its
     # rounding; err is the exact radius less the knot
     w = np.exp(0.5 * d)

@@ -17,8 +17,10 @@ no digits are lost to cancellation: DLMF 10.32.9 for K_{1/4}, and 12.5.1
 
 one smooth peak in u = ln t.  The Gauss-Legendre panels that cover either
 integrand are placed in closed form from its width and its known decay.
-The rule shares no code with the tanh-sinh oracle the closed forms are
-checked against, which computes nothing here.
+gauss_legendre_panels, a fixed 24-point rule on such panels, computes
+both integrals and the sampler's radial CDF table.  Nothing here imports
+the tanh-sinh oracle that the closed forms are checked against
+(quadrature), nor does it import this module.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .quadrature import gauss_legendre_panels
 
 # B_2, ..., B_16: at x >= 10 the first term left out is below 4e-18
 _BERNOULLI = (1/6, -1/30, 1/42, -1/30, 5/66, -691/2730, 7/6, -3617/510)
@@ -40,6 +41,36 @@ _LN_2_DROP = math.log(2.0 * _DROP)
 # within 1e-17, so the rest of the integral is the closed form t**a / a
 _LN_TAIL_T = math.log(1e-17)
 _SPLIT = 134217729.0  # 2**27 + 1
+# numpy.polynomial.legendre.leggauss(24), frozen (it is symmetric bit for
+# bit), so that no process imports numpy.polynomial and its LAPACK call
+_GL_HALF = np.array([float.fromhex(v) for v in """
+1.0660853eda2e8p-4 1.8769542b94f8dp-3 1.429a8c588e910p-2 1.bc345d81e24b5p-2
+1.17417bac4d72bp-1 1.4bd2ee5fa1086p-1 1.7af18edb9ddd6p-1 1.a3d74ce0d3700p-1
+1.c5d841864d0f5p-1 1.e06585a70aa4dp-1 1.f30f9f0cbf876p-1 1.fd892de691982p-1
+1.060475e763731p-3 1.01b7117cf8bd6p-3 1.f25cbce1d1fefp-4 1.d91c78acb1b27p-4
+1.b8177ba4a68d7p-4 1.8fd8936444b19p-4 1.6108ef5044635p-4 1.2c6d5c2eff05ap-4
+1.e5c6255d25e9dp-5 1.6ab884f57c940p-5 1.d375514486effp-6 1.9465bd311255dp-7
+""".split()]).reshape(2, 12)
+_GL_NODES = np.concatenate((-_GL_HALF[0, ::-1], _GL_HALF[0]))
+_GL_WEIGHTS = np.concatenate((_GL_HALF[1, ::-1], _GL_HALF[1]))
+
+
+def gauss_legendre_panels(log_f, lo: np.ndarray, hi: np.ndarray, g=None,
+                          order: int = 0) -> np.ndarray:
+    """Integral of exp(log_f(x)) over each panel [lo_i, hi_i], by the
+    24-point Gauss-Legendre rule; given g, the integrals of exp(log_f(x))
+    g(x)**i, i = 0..order, over all the panels together."""
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+    f = np.exp(log_f(nodes))
+    if g is None:
+        return (f @ _GL_WEIGHTS) * half
+    rows, gx = np.empty((order + 1, *f.shape)), g(nodes)
+    rows[0] = f
+    for i in range(order):
+        np.multiply(rows[i], gx, out=rows[i + 1])
+    return (rows @ _GL_WEIGHTS) @ half
 
 
 def _two_prod(x, y) -> tuple:

@@ -416,8 +416,11 @@ def test_selfcheck_builds_each_sampler_table_once(monkeypatch):
     assert len(built) == len(set(built)) == 2
 
 
-def test_selfcheck_failure_exits_5(runner):
-    res = runner.invoke(cli.main, ["selfcheck", "--inject-failure"])
+def test_selfcheck_failure_exits_5(runner, monkeypatch):
+    checks = cli._selfcheck_checks
+    monkeypatch.setattr(cli, "_selfcheck_checks",
+                        lambda: checks() + [("failing_check", 1.0, 0.0)])
+    res = runner.invoke(cli.main, ["selfcheck"])
     assert res.exit_code == 5
     doc = json.loads(res.stdout)
     assert doc["passed"] is False

@@ -78,7 +78,8 @@ def test_every_route_returns_a_finite_value_or_a_typed_error():
 
 def test_every_quadrature_log_z_stops_by_level_5(monkeypatch):
     """Each quadrature log Z of the sweep takes at most 615 evaluations,
-    levels 0-5 of tanh-sinh, far below the rule's cap of 78,643."""
+    levels 0-5 of tanh-sinh, far below the rule's cap of 78,643, and
+    agrees with the pcf one within 1e-10 of max(1, |log I|)."""
     spent = []
 
     def counted(f):
@@ -90,7 +91,10 @@ def test_every_quadrature_log_z_stops_by_level_5(monkeypatch):
     monkeypatch.setattr(quadrature, "integrate_semi_infinite", counted)
     laws = _laws(300, 17)
     for p in laws:
-        core._log_z_quadrature.__wrapped__(p.dim, core._z(p))
+        z = core._z(p)
+        quad = quadrature.log_integral(p.dim, z)
+        pcf = core._standard(p.dim, z)[0]
+        assert abs(quad - pcf) <= 1e-10 * max(1.0, abs(pcf)), (p, quad, pcf)
     assert len(spent) == len(laws) and max(spent) <= 615
 
 

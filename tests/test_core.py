@@ -107,8 +107,13 @@ def test_radial_params_rejects_bad_input(dim, l1, l2):
                                   core.RadialParams(2, 1, 1)),
     lambda: core.eg_reference([["1", "0"], ["0", "1"]], 1.0, 1.0),
     lambda: core.MomentPair("1", 2.0),
+    lambda: core.log_norm_const_d2_closed("1", 1.0),
+    lambda: core.log_norm_const_d2_closed(True, 1.0),
+    lambda: core.log_norm_const_d1_neg(None, 1.0),
+    lambda: core.log_norm_const_d1_neg(-1.0, "1"),
 ], ids=["lambda1-huge-int", "radius-list", "ring-dim-2.5", "mu-str",
-        "sigma-ragged", "mu-none", "eg-sigma-str", "c2-str"])
+        "sigma-ragged", "mu-none", "eg-sigma-str", "c2-str", "d2-str",
+        "d2-bool", "d1-none", "d1-str"])
 def test_fields_that_are_not_real_numbers_raise_domain_error(make):
     with pytest.raises(DomainError, match="must be"):
         make()
@@ -224,7 +229,7 @@ def test_quadrature_log_z_is_cheap_on_rings(monkeypatch, dim, alpha, radius):
     integrate = quadrature.integrate_semi_infinite
     monkeypatch.setattr(quadrature, "integrate_semi_infinite", counted)
     p = core.ring_to_radial(core.RingParams(dim, alpha, radius))
-    core._log_z_quadrature.__wrapped__(p.dim, core._z(p))
+    quadrature.log_integral(p.dim, core._z(p))
     # levels 0-3 of the z-map
     assert spent == [153]
 
@@ -238,6 +243,17 @@ def test_d1_rings_below_the_width_map_agree_with_pcf(alpha, radius):
     np.testing.assert_allclose(core.log_norm_const(p, "quadrature"),
                                core.log_norm_const(p, "pcf"),
                                rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dim,z", [(2000, 300.0), (5000, 1e3),
+                                   (10 ** 5, 1e8)])
+def test_quadrature_log_z_at_large_dim_agrees_with_pcf(dim, z):
+    """At large D a broad peak stands up to e**800 above u = m, where the
+    integrand is written about; the oracle takes it out, so the integrand
+    neither overflows nor warns."""
+    np.testing.assert_allclose(quadrature.log_integral(dim, z),
+                               core._standard(dim, z)[0], rtol=1e-13)
 
 
 def test_quadrature_log_z_rejects_nonpositive_integral(monkeypatch):

@@ -1,9 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eqe import quadrature
+from eqe import quadrature, specfun
 from eqe.errors import ConvergenceError, DomainError
 
 
@@ -123,15 +125,12 @@ def test_tolerance_is_relative_near_the_bottom_of_the_range(scale):
     np.testing.assert_allclose(res.value, scale * 50.0 / 101.0, rtol=1e-10)
 
 
-def test_budget_exhaustion_reports_best_estimate():
+def test_budget_exhaustion_reports_the_work():
     # the zero integral runs through all 13 levels, 78,643 evaluations
     with pytest.raises(ConvergenceError,
                        match="quadrature evaluation budget exhausted") as info:
         quadrature.integrate_semi_infinite(lambda y: (1.0 - y) * np.exp(-y))
-    err = info.value
-    assert err.best_estimate is not None
-    assert abs(err.best_estimate.value) < 1e-15
-    assert err.work == err.best_estimate.evaluations == 78643
+    assert info.value.work == 78643
 
 
 @pytest.mark.parametrize("budget", [40, 5000, 10 ** 5])
@@ -174,14 +173,6 @@ def test_a_scalar_integrand_is_a_type_error():
         quadrature.integrate_semi_infinite(lambda y: float(np.exp(-y[0])))
 
 
-def test_gauss_legendre_rule_is_leggauss_24():
-    # the frozen rule spares every process numpy.polynomial and its LAPACK
-    # call; it must be leggauss(24) bit for bit
-    nodes, weights = np.polynomial.legendre.leggauss(24)
-    np.testing.assert_array_equal(quadrature._GL_NODES, nodes)
-    np.testing.assert_array_equal(quadrature._GL_WEIGHTS, weights)
-
-
 @pytest.mark.parametrize("level", [0, 1, 5, 10, 12])
 def test_level_nodes_are_read_only_and_exact(level):
     """Each cached level's nodes and weights equal a fresh computation of
@@ -205,3 +196,23 @@ def test_only_the_coarse_levels_are_kept():
         quadrature.integrate_semi_infinite(_off_centre_peak)
     assert info.value.work == 78643
     assert quadrature._level_nodes.cache_info().currsize <= 13
+
+
+def _package_imports(module) -> set:
+    """The package modules that ``module``'s source imports."""
+    found = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module] if node.module else
+                         [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".", 1)[1] for a in node.names
+                         if a.name.startswith("eqe."))
+    return found
+
+
+def test_the_oracle_and_the_pcf_route_import_neither_the_other():
+    """The oracle depends on nothing in the package but its errors, and
+    the closed forms it checks take nothing from it."""
+    assert _package_imports(quadrature) == {"errors"}
+    assert "quadrature" not in _package_imports(specfun)

@@ -554,13 +554,13 @@ def test_table_where_lambda1_squared_overflows(dim, lambda1):
 QUANTILES = json.loads((Path(__file__).parent / "data"
                         / "pcf_reference.json").read_text())["quantile_points"]
 # relative bound per level.  At the decades (measured worst: 1.3e-9,
-# 4.1e-13, 1.6e-9, 1.3e-15, 7.6e-10, 6.9e-10, 4.8e-6) the tail bounds
+# 1.7e-12, 1.6e-9, 1.3e-15, 7.6e-10, 6.9e-10, 4.8e-6) the tail bounds
 # leave room for a layout whose knots miss them (a uniform pilot grid
 # measured 2.8e-5, 1.5e-7 and 3.5e-5 there).  Between the decades (3e-12,
-# 3e-9, 3e-6, 3e-4 and their complements; measured worst 2.9e-7, and
-# 2.8e-6 at 1 - 3e-12, where the CDF's rounding near 1 dominates) the
-# tail ladders' cells are 10**(1/8) wide; decade-wide cells were up to
-# 3.8e-3 off there
+# 3e-9, 3e-6, 3e-4 and their complements; measured worst 8.7e-7, on the
+# moderate rings, and 2.8e-6 at 1 - 3e-12, where the CDF's rounding near
+# 1 dominates) the tail ladders' cells are 10**(1/8) wide; decade-wide
+# cells were up to 3.8e-3 off there
 QUANTILE_BOUND = {1e-12: 5e-5, 1e-6: 3e-7, 0.01: 2e-9, 0.5: 1e-14,
                   0.99: 1e-9, 1 - 1e-6: 5e-8, 1 - 1e-12: 5e-5,
                   3e-12: 1e-6, 3e-9: 1e-6, 3e-6: 1e-6, 3e-4: 1e-6,

@@ -177,3 +177,11 @@ def test_bessel_k_quarter_corpus():
     for x, ref in points:
         got = specfun.bessel_k_quarter_scaled(x)
         assert abs(got - ref) <= 1e-15 * max(1.0, abs(ref)), (x, got, ref)
+
+
+def test_gauss_legendre_rule_is_leggauss_24():
+    # the frozen rule spares every process numpy.polynomial and its LAPACK
+    # call; it must be leggauss(24) bit for bit
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    np.testing.assert_array_equal(specfun._GL_NODES, nodes)
+    np.testing.assert_array_equal(specfun._GL_WEIGHTS, weights)
