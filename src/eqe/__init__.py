@@ -12,11 +12,11 @@ from .condmarg import (BlockSplit, conditional_params, marginal_log_density,
                        marginal_peaks)
 from .core import (EllipticalGammaReference, EllipticalParams, LogNormInfo,
                    MomentPair, RadialParams, RingParams, density,
-                   eg_reference, eg_reference_from_moments, entropy,
-                   log_density, log_norm_const, log_norm_const_d1_neg,
+                   eg_reference_from_moments, entropy, log_density,
+                   log_norm_const, log_norm_const_d1_neg,
                    log_norm_const_d2_closed, log_norm_const_info,
                    log_sphere_surface_area, mode_radius, radial_moment,
-                   radial_to_ring, ring_to_radial, sphere_surface_area)
+                   radial_to_ring, ring_to_radial)
 from .errors import ConvergenceError, DomainError, InfeasibleMomentsError
 from .fit import (FitReport, fit_data, fit_moments, gaussian_moment_ratio,
                   parameter_standard_errors)
@@ -41,7 +41,6 @@ __all__ = [
     "build_radial_table",
     "conditional_params",
     "density",
-    "eg_reference",
     "eg_reference_from_moments",
     "entropy",
     "fit_data",
@@ -61,6 +60,5 @@ __all__ = [
     "radial_to_ring",
     "ring_to_radial",
     "sample",
-    "sphere_surface_area",
     "__version__",
 ]

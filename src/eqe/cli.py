@@ -9,7 +9,6 @@ significant digits so files round-trip bit-faithfully.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import sys
@@ -36,19 +35,18 @@ class SelfCheckFailure(click.ClickException):
     exit_code = 5
 
 
-def _mapped_errors(f):
-    @functools.wraps(f)
-    def wrapper(*args, **kwargs):
+class _Command(click.Command):
+    """A subcommand whose library errors exit with their documented code."""
+
+    def invoke(self, ctx):
         try:
-            return f(*args, **kwargs)
+            return super().invoke(ctx)
         except InfeasibleMomentsError as e:
             raise InfeasibleFit(str(e)) from e
         except DomainError as e:
-            raise click.UsageError(str(e)) from e
+            raise click.UsageError(str(e), ctx) from e
         except ConvergenceError as e:
             raise NumericalFailure(str(e)) from e
-
-    return wrapper
 
 
 def load_params_file(path: str) -> core.Params:
@@ -84,13 +82,12 @@ def load_params_file(path: str) -> core.Params:
 
 
 def params_to_doc(params: core.Params) -> dict:
+    rad = params.radial
+    doc = {"dim": rad.dim, "param_form": "radial",
+           "lambda1": rad.lambda1, "lambda2": rad.lambda2}
     if isinstance(params, core.EllipticalParams):
-        rad = params.radial
-        return {"dim": rad.dim, "param_form": "radial",
-                "lambda1": rad.lambda1, "lambda2": rad.lambda2,
-                "mu": params.mu.tolist(), "sigma": params.sigma.tolist()}
-    return {"dim": params.dim, "param_form": "radial",
-            "lambda1": params.lambda1, "lambda2": params.lambda2}
+        doc.update(mu=params.mu.tolist(), sigma=params.sigma.tolist())
+    return doc
 
 
 def _emit_json(doc: dict) -> None:
@@ -120,6 +117,9 @@ def main():
     """Quartic exponential distribution toolkit."""
 
 
+main.command_class = _Command
+
+
 @main.command("logz")
 @click.option("--params", "params_path", type=str, default=None,
               help="Parameter JSON file.")
@@ -129,7 +129,6 @@ def main():
 @click.option("--method", type=click.Choice(["pcf", "quad"]), default=None,
               help="Evaluation route (default: pcf; quad is the "
                    "independent tanh-sinh oracle).")
-@_mapped_errors
 def cmd_logz(params_path, dim, lambda1, lambda2, method):
     """Log normalization constant."""
     inline = [dim, lambda1, lambda2]
@@ -156,7 +155,6 @@ def cmd_logz(params_path, dim, lambda1, lambda2, method):
 @click.option("--xmax", type=float, required=True)
 @click.option("--npts", type=int, required=True)
 @click.option("--out", "out_path", type=str, default=None)
-@_mapped_errors
 def cmd_pdf_grid(params_path, xmin, xmax, npts, out_path):
     """Density on an npts x npts grid (dim 2 only), CSV x1,x2,density."""
     params = load_params_file(params_path)
@@ -181,7 +179,6 @@ def cmd_pdf_grid(params_path, xmin, xmax, npts, out_path):
               help="Deterministic stream seed; there is no implicit "
                    "randomness.")
 @click.option("--out", "out_path", type=str, default=None)
-@_mapped_errors
 def cmd_sample(params_path, n, seed, out_path):
     """Draw n points, CSV with one point per row."""
     params = load_params_file(params_path)
@@ -196,7 +193,6 @@ def cmd_sample(params_path, n, seed, out_path):
               default="elliptical", show_default=True)
 @click.option("--out", "out_path", type=str, default=None,
               help="Write the fitted parameter JSON here as well.")
-@_mapped_errors
 def cmd_fit(input_path, model, out_path):
     """Fit parameters to data; output doubles as a params file."""
     try:
@@ -232,7 +228,6 @@ def cmd_fit(input_path, model, out_path):
 
 @main.command("entropy")
 @click.option("--params", "params_path", type=str, required=True)
-@_mapped_errors
 def cmd_entropy(params_path):
     """Differential entropy in nats."""
     params = load_params_file(params_path)
@@ -248,7 +243,6 @@ def cmd_entropy(params_path):
 @click.option("--npts", type=int, default=256, show_default=True)
 @click.option("--out", "out_path", type=str, default=None,
               help="CSV target; peaks JSON then goes to stdout.")
-@_mapped_errors
 def cmd_marginal(params_path, dim1, rmax, npts, out_path):
     """Marginal density along r1 = |x1| plus the list of its peaks."""
     params = load_params_file(params_path)
@@ -371,7 +365,6 @@ def _selfcheck_checks():
 
 
 @main.command("selfcheck")
-@_mapped_errors
 def cmd_selfcheck():
     """Run the internal consistency suite; exit 5 if anything fails."""
     report = []

@@ -299,11 +299,6 @@ def log_sphere_surface_area(n: int) -> float:
     return _LN_2 + 0.5 * (n + 1) * _LN_PI - math.lgamma(0.5 * (n + 1))
 
 
-def sphere_surface_area(n: int) -> float:
-    """Surface area S_n of the unit n-sphere (S_1 = 2 pi, S_2 = 4 pi)."""
-    return math.exp(log_sphere_surface_area(n))
-
-
 def mode_radius(params: Params) -> float:
     """Radius of the density's maximum; 0 when the origin is the mode."""
     p = params.radial
@@ -572,12 +567,6 @@ class EllipticalGammaReference(_ShapeMatrix):
         return _draws(rng, n, self.dim, lambda: np.sqrt(q), self._chol)
 
 
-def eg_reference(sigma: np.ndarray, a: float, b: float
-                 ) -> EllipticalGammaReference:
-    """Elliptical Gamma reference with shape matrix sigma and q ~ Gamma(a, b)."""
-    return EllipticalGammaReference(sigma=sigma, a=a, b=b)
-
-
 def eg_reference_from_moments(sigma: np.ndarray, moments: MomentPair
                               ) -> EllipticalGammaReference:
     """The EG distribution matching E[q] = c2 and E[q**2] = c4 exactly.
@@ -585,9 +574,10 @@ def eg_reference_from_moments(sigma: np.ndarray, moments: MomentPair
     The shape a = c2**2 / (c4 - c2**2) takes the variance as a difference
     of rounded moments, so it keeps about 16 + log10(1 / (a + 1)) digits:
     about 8 on the ring (3, alpha 1e8, R 1), where the matched entropy is
-    then about 1.2e-8 nats off.  Build it with eg_reference from the
-    variance itself where that matters.
+    then about 1.2e-8 nats off.  Where that matters, build it with
+    EllipticalGammaReference(sigma, mean**2 / var, var / mean) from the
+    variance itself.
     """
     excess = moments.c4 - moments.c2 * moments.c2
-    return eg_reference(sigma, moments.c2 * moments.c2 / excess,
-                        excess / moments.c2)
+    return EllipticalGammaReference(sigma, moments.c2 * moments.c2 / excess,
+                                    excess / moments.c2)

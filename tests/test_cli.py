@@ -6,12 +6,14 @@ import pathlib
 import subprocess
 import sys
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import eqe
 from eqe import cli, core, fit, sampling
+from eqe.errors import ConvergenceError, DomainError, InfeasibleMomentsError
 
 
 @pytest.fixture
@@ -424,6 +426,30 @@ def test_selfcheck_failure_exits_5(runner, monkeypatch):
     assert res.exit_code == 5
     doc = json.loads(res.stdout)
     assert doc["passed"] is False
+
+
+@pytest.mark.parametrize("error,code", [(DomainError, 2),
+                                        (ConvergenceError, 3),
+                                        (InfeasibleMomentsError, 4)])
+@pytest.mark.parametrize("name", sorted(cli.main.commands))
+def test_every_command_maps_every_library_error(runner, monkeypatch, name,
+                                                 error, code):
+    """A library error raised anywhere inside a command exits with its
+    documented code, whichever command it is."""
+    command = cli.main.commands[name]
+    args = [name]
+    for param in command.params:
+        if param.required:
+            value = "x" if param.type is click.STRING else "1"
+            args += [param.opts[0], value]
+
+    def raise_error(**kwargs):
+        raise error("raised inside the command")
+
+    monkeypatch.setattr(command, "callback", raise_error)
+    res = runner.invoke(cli.main, args)
+    assert res.exit_code == code, res.output
+    assert "raised inside the command" in res.output
 
 
 def _fresh_interpreter(*args, check=True):

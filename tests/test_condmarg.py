@@ -129,7 +129,7 @@ def test_marginal_normalizes(dim, d1):
                  for ri in r]
         return np.exp((d1 - 1) * np.log(r) + log_m)
 
-    area = core.sphere_surface_area(d1 - 1)
+    area = math.exp(core.log_sphere_surface_area(d1 - 1))
     res = quadrature.integrate_semi_infinite(radial_mass)
     np.testing.assert_allclose(area * res.value, 1.0, rtol=1e-9)
 

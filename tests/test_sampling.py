@@ -298,8 +298,9 @@ def test_sample_follows_the_documented_stream_layout_across_blocks(p, n):
 
 
 @pytest.mark.parametrize("n", [1, B, B + 1, 2 * B + 3])
-@pytest.mark.parametrize("p", [core.RadialParams(3, 4.0, 1.5), ELLIPTICAL,
-                               core.eg_reference(ELLIPTICAL.sigma, 3.0, 0.5)],
+@pytest.mark.parametrize("p", [
+    core.RadialParams(3, 4.0, 1.5), ELLIPTICAL,
+    core.EllipticalGammaReference(ELLIPTICAL.sigma, 3.0, 0.5)],
                          ids=["spherical", "elliptical", "eg_reference"])
 def test_sample_leaves_the_stream_after_its_normals(p, n):
     # the normals are filled on a helper thread: when sample returns, that
