@@ -169,8 +169,10 @@ class SeededGenerator:
     """Deterministic random stream (PCG64 keyed by an integer seed)."""
 
     def __init__(self, seed: int):
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-            raise DomainError(f"seed must be an integer, got {seed!r}")
+        if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+                or seed < 0):
+            raise DomainError(
+                f"seed must be a non-negative integer, got {seed!r}")
         self.seed = int(seed)
         self.rng = np.random.Generator(np.random.PCG64(self.seed))
 

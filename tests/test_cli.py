@@ -193,6 +193,15 @@ def test_sample_seed_is_required(runner, radial_file):
     assert res.exit_code == 2
 
 
+def test_sample_negative_seed_exits_2(runner, radial_file):
+    res = runner.invoke(cli.main, ["sample", "--params", radial_file,
+                                   "--n", "10", "--seed", "-1"])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "seed must be a non-negative integer" in res.output
+    assert "Traceback" not in res.output
+
+
 def test_sample_to_file(runner, radial_file, tmp_path):
     out = tmp_path / "draws.csv"
     res = runner.invoke(cli.main, ["sample", "--params", radial_file,

@@ -27,6 +27,14 @@ def test_seeded_generator_is_deterministic():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("seed", [-1, np.int64(-7), -2 ** 70])
+def test_negative_seed_raises_domain_error(seed):
+    with pytest.raises(DomainError, match="non-negative"):
+        sampling.SeededGenerator(seed)
+    with pytest.raises(DomainError, match="non-negative"):
+        sampling.sample(core.RadialParams(2, 1.0, 1.0), 3, seed)
+
+
 def test_sample_shape_and_determinism():
     p = core.RadialParams(3, 4.0, 1.5)
     x = sampling.sample(p, 100, sampling.SeededGenerator(5))
@@ -75,7 +83,7 @@ def test_table_cdf_properties(dim, l1, l2):
     np.testing.assert_allclose(table.cdf(table.r_max), 1.0, rtol=1e-12)
     assert np.all(np.diff(table.cdf_values) >= 0.0)
     assert np.all(table.pdf_values >= 0.0)
-    # the cubic between knots is monotone too, 201 points per cell
+    # the law's CDF between knots is monotone too, 201 points per cell
     t = np.linspace(0.0, 1.0, 201)
     r = (1.0 - t) * table.knots[:-1, None] + t * table.knots[1:, None]
     v = table.cdf(r)
@@ -131,8 +139,7 @@ def test_sample_thin_ring_width():
     (p.dim, p.lambda1, p.lambda2) for p in THIN_RINGS])
 def test_table_inverse_round_trip(dim, l1, l2):
     table = sampling.build_radial_table(core.RadialParams(dim, l1, l2))
-    # tail levels fall in the tail ladders' cells, where Newton can stall
-    # and bisection takes over
+    # tail levels fall in the tail ladders' cells; the CDF is the law's
     tail = np.array([1e-13, 1e-11, 1e-9, 1e-7, 1e-5, 1e-4])
     u = np.unique(np.concatenate(
         [np.linspace(1e-9, 1.0 - 1e-9, 2001), tail, 1.0 - tail]))
@@ -159,9 +166,11 @@ def test_guide_finds_the_searchsorted_cell(params):
         ([0.0, 1.0], c, np.nextafter(c, -1.0), np.nextafter(c, 2.0),
          np.arange(m + 1) / m,
          np.random.default_rng(params.dim).random(100000))), 0.0, 1.0)
-    want = np.clip(np.searchsorted(table.cdf_values, u, side="right") - 1,
+    # cells are searched by log-odds, which resolve the upper ladder
+    l = sampling._log_odds(u)
+    want = np.clip(np.searchsorted(table.log_odds, l, side="right") - 1,
                    0, table.knots.size - 2)
-    np.testing.assert_array_equal(table._cell(u), want)
+    np.testing.assert_array_equal(table._cell(u, l), want)
 
 
 def test_table_from_public_constructor():
@@ -170,8 +179,7 @@ def test_table_from_public_constructor():
     built = sampling.build_radial_table(THIN_RINGS[0])
     table = sampling.RadialCdfTable(
         params=built.params, knots=built.knots.copy(),
-        cdf_values=built.cdf_values.copy(),
-        pdf_values=built.pdf_values.copy())
+        log_odds=built.log_odds.copy(), pdf_values=built.pdf_values.copy())
     u = np.random.default_rng(3).random(50000)
     r = built.inverse_cdf(u)
     np.testing.assert_array_equal(table.inverse_cdf(u), r)
@@ -180,8 +188,9 @@ def test_table_from_public_constructor():
     assert [table.inverse_cdf(x) for x in u[:5]] == list(r[:5])
     assert table.inverse_cdf(np.empty(0)).shape == (0,)
     np.testing.assert_array_equal(table.cdf(r), built.cdf(r))
-    for arr in (table.knots, table.cdf_values, table.pdf_values,
-                table._cells, table._guide, table._upper):
+    np.testing.assert_array_equal(table.cdf_values, built.cdf_values)
+    for arr in (table.knots, table.log_odds, table.pdf_values,
+                table.cdf_values, table._cells, table._guide, table._upper):
         assert not arr.flags.writeable
 
 
@@ -198,7 +207,7 @@ def test_table_covers_the_mode():
                                         (22, (3, -2.0, 1.0)),
                                         (23, (5, 1.0, 0.3))])
 def test_radial_law_kolmogorov_smirnov(seed, shape):
-    """PIT of sampled radii through the table cdf must look uniform."""
+    """PIT of sampled radii through the law's CDF must look uniform."""
     n = 20000
     p = core.RadialParams(*shape)
     table = sampling.build_radial_table(p)
@@ -371,56 +380,44 @@ def test_annular_samples_avoid_the_origin():
     assert abs(np.median(r) - 1.0) < 0.05
 
 
-def _cell_root(table, u):
-    """Cell of each level and the cell cubic's root in it, by 200
-    bisection steps in t, as a radius."""
-    idx = np.clip(np.searchsorted(table.cdf_values, u, side="right") - 1,
-                  0, table.knots.size - 2)
-    coef = table._cells[:4, idx]
-    lo, hi = np.zeros_like(u), np.ones_like(u)
-    for _ in range(200):
+def _cell_root(table, u, upper):
+    """The root, in each level's knot cell, of the law's mass below r less
+    u (above r less 1 - u if ``upper``), by 100 bisection steps in r."""
+    idx = np.clip(np.searchsorted(table.log_odds, sampling._log_odds(u),
+                                  side="right") - 1, 0, table.knots.size - 2)
+    lo, hi = table.knots[idx], table.knots[idx + 1]
+    r_star, law, _, grid, below, above = sampling._law(table.params)
+    for _ in range(100):
         mid = 0.5 * (lo + hi)
-        high = sampling._hermite(coef, mid) > u
-        lo, hi = np.where(high, lo, mid), np.where(high, mid, hi)
-    t = 0.5 * (lo + hi)
-    return idx, (1.0 - t) * table.knots[idx] + t * table.knots[idx + 1]
-
-
-def _cell_tolerance(table, idx):
-    """The inversion's residual tolerance in each cell: 1e-9 of its mass
-    plus 4 ulp of its upper CDF."""
-    c = table.cdf_values
-    return 1e-9 * (c[idx + 1] - c[idx]) + 4.0 * np.spacing(c[idx + 1])
+        if upper:
+            d = np.minimum(2.0 * np.log(mid / r_star), grid[-1])
+            low = (sampling._mass(law, grid, above, d, upper=True)
+                   / below[-1] > 1.0 - u)
+        else:
+            low = table.cdf(mid) < u
+        lo, hi = np.where(low, mid, lo), np.where(low, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 @pytest.mark.parametrize("params", [
     core.RadialParams(*shape) for shape in SHAPES] + THIN_RINGS, ids=str)
 def test_tail_quantiles_are_the_cell_root(params):
-    # the tail ladders' cells carry 1e-17 to 1e-3 of the mass; a level
-    # in them must come out as the root of its cell's cubic, not as any
-    # iterate whose residual is below an absolute floor
+    """The tail ladders' cells carry 1e-17 to 1e-3 of the mass; a level in
+    them must come out as the root in its cell of the law's own mass below
+    it, or above it near 1, where the CDF's rounding would hide it."""
     table = sampling.build_radial_table(params)
     decades = 10.0 ** -np.arange(5.0, 16.0)
     for u, upper in ((decades, False), (1.0 - decades, True)):
-        idx, want = _cell_root(table, u)
-        bound = 1e-9 * want
-        if upper:
-            # near 1 the CDF's own rounding (ulp(1) = 2.2e-16) hides the
-            # root inside an interval of width ~ tolerance / density
-            h = table.knots[idx + 1] - table.knots[idx]
-            t = (want - table.knots[idx]) / h
-            _, slope = sampling._hermite(table._cells[:4, idx], t,
-                                         slope=True)
-            bound = bound + 2.0 * _cell_tolerance(table, idx) * h / slope
+        want = _cell_root(table, u, upper)
         np.testing.assert_array_less(
-            np.abs(table.inverse_cdf(u) - want), bound)
+            np.abs(table.inverse_cdf(u) - want), 1e-9 * want)
 
 
 @pytest.mark.parametrize("params", [
     core.RadialParams(*shape) for shape in SHAPES] + THIN_RINGS, ids=str)
 def test_inverse_cdf_meets_the_cell_tolerance(params):
-    # 1e6 uniforms plus the levels where a cell-wise seed is weakest:
-    # every knot CDF and its one-ulp neighbours, and every guide edge
+    # 1e6 uniforms plus the levels at the cells' ends: every knot CDF and
+    # its one-ulp neighbours, and every guide edge
     table = sampling.build_radial_table(params)
     c, m = table.cdf_values, sampling._GUIDE
     u = np.sort(np.clip(np.concatenate(
@@ -429,20 +426,47 @@ def test_inverse_cdf_meets_the_cell_tolerance(params):
          np.random.default_rng(params.dim + 100).random(1_000_000))),
         0.0, 1.0))
     r = table.inverse_cdf(u)
-    # non-decreasing up to the rounding of r: levels one ulp apart may
-    # land a rounding step out of order
-    assert np.all(np.diff(r) >= -np.spacing(r[1:]))
     assert r[0] == 0.0 and r[-1] == table.r_max
-    # the residual through the level's own cell cubic, allowing for the
-    # rounding of r: one ulp from the knot-to-knot interpolation that makes
-    # it and one from the t recovered here
-    idx = np.clip(np.searchsorted(c, u, side="right") - 1,
-                  0, table.knots.size - 2)
-    h = table.knots[idx + 1] - table.knots[idx]
-    t = (r - table.knots[idx]) / h
-    value, slope = sampling._hermite(table._cells[:4, idx], t, slope=True)
-    allowed = _cell_tolerance(table, idx) + 2.0 * slope / h * np.spacing(r)
-    np.testing.assert_array_less(np.abs(value - u), allowed)
+    # each radius in its knot cell, and non-decreasing, up to the rounding
+    # of the exp that makes it from its log (16 ulps): two cells' cubics
+    # meet at a knot only to that rounding
+    idx = np.clip(np.searchsorted(table.log_odds, sampling._log_odds(u),
+                                  side="right") - 1, 0, table.knots.size - 2)
+    slack = 16.0 * np.spacing(r)
+    assert np.all(r >= table.knots[idx] - slack)
+    assert np.all(r <= table.knots[idx + 1] + slack)
+    assert np.all(np.diff(r) >= -slack[1:])
+
+
+@pytest.mark.parametrize("params", [
+    core.RadialParams(*shape) for shape in SHAPES] + THIN_RINGS + [
+    # z = 1.4e308, whose radii are near 1e-80
+    core.RadialParams(3, -2e158, 1e-300)], ids=str)
+def test_knot_levels_invert_to_their_knots(params):
+    """Where F <= 1/2 a knot's CDF keeps its log-odds to a few ulps, and
+    the inverse gives back the knot to the exp's rounding, whatever the
+    law's scale.  Near 1 the CDF rounds to the ulp of 1, which moves the
+    log-odds (up to 5e-4 in the upper ladder), so the knots there are not
+    levels of their own."""
+    table = sampling.build_radial_table(params)
+    k = np.flatnonzero(table.cdf_values <= 0.5)
+    r = table.inverse_cdf(table.cdf_values[k])
+    np.testing.assert_array_max_ulp(r, table.knots[k], maxulp=16)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("params", [
+    core.RadialParams(1, 0.0, 0.5), THIN_RINGS[1]], ids=str)
+def test_inverse_cdf_at_the_ends_warns_of_nothing(params):
+    """u = 0 and 1 take ln 0 on the way (the first and last cells are
+    linear in a log), and the extreme uniforms land next to them."""
+    table = sampling.build_radial_table(params)
+    r = table.inverse_cdf(np.array([0.0, 2.0 ** -53, 1.0 - 2.0 ** -53,
+                                    1.0]))
+    assert r[0] == 0.0 and r[3] == table.r_max
+    assert 0.0 < r[1] < r[2] < r[3]
+    assert table.inverse_cdf(0.0) == 0.0
+    assert table.inverse_cdf(1.0) == table.r_max
 
 
 @pytest.mark.parametrize("r", [math.nan, np.array([0.5, math.nan])])
@@ -460,31 +484,17 @@ def test_table_cdf_clamps_infinities():
                                   [0.0, 1.0])
 
 
-def test_flat_last_cell_inverts_one_to_r_max():
-    # a table whose CDF reaches 1 a knot early: u = 1 lands in a cell of
-    # no mass and must still give the end of the table
+@pytest.mark.parametrize("k,value", [(-2, math.inf), (-2, math.nan),
+                                     (3, -1e300), (0, -40.0), (-1, 40.0)])
+def test_table_rejects_log_odds_that_do_not_increase(k, value):
+    # an inner knot of CDF 1 (log-odds inf) would leave a cell of no mass
     built = sampling.build_radial_table(core.RadialParams(3, 4.0, 1.5))
-    cdf = built.cdf_values.copy()
-    cdf[-2] = 1.0
-    table = sampling.RadialCdfTable(
-        params=built.params, knots=built.knots.copy(), cdf_values=cdf,
-        pdf_values=built.pdf_values.copy())
-    assert table.inverse_cdf(1.0) == table.r_max
-    np.testing.assert_array_equal(table.inverse_cdf(np.ones(3)),
-                                  table.r_max)
-
-
-def test_stragglers_fall_back_to_bisection(monkeypatch):
-    # with Newton stalled, every level is a straggler and the compact
-    # pass's bisection alone must find each cell's root
-    table = sampling.build_radial_table(core.RadialParams(4, -1.0, 0.25))
-    u = np.concatenate((np.random.default_rng(4).random(20000),
-                        10.0 ** -np.arange(5.0, 16.0)))
-    _, want = _cell_root(table, u)
-    monkeypatch.setattr(sampling, "_newton",
-                        lambda coef, floor, tol, u, t, steps:
-                        (t, np.ones(u.shape, dtype=bool)))
-    np.testing.assert_allclose(table.inverse_cdf(u), want, rtol=1e-12)
+    log_odds = built.log_odds.copy()
+    log_odds[k] = value
+    with pytest.raises(DomainError, match="log-odds"):
+        sampling.RadialCdfTable(params=built.params, knots=built.knots,
+                                log_odds=log_odds,
+                                pdf_values=built.pdf_values)
 
 
 def _reference_knot_cdf(p, knots):
@@ -555,13 +565,13 @@ def test_table_where_lambda1_squared_overflows(dim, lambda1):
 QUANTILES = json.loads((Path(__file__).parent / "data"
                         / "pcf_reference.json").read_text())["quantile_points"]
 # relative bound per level.  At the decades (measured worst: 1.3e-9,
-# 1.7e-12, 1.6e-9, 1.3e-15, 7.6e-10, 6.9e-10, 4.8e-6) the tail bounds
+# 1.9e-14, 1.4e-10, 3.6e-16, 1.0e-10, 2.2e-12, 5.8e-13) the tail bounds
 # leave room for a layout whose knots miss them (a uniform pilot grid
 # measured 2.8e-5, 1.5e-7 and 3.5e-5 there).  Between the decades (3e-12,
-# 3e-9, 3e-6, 3e-4 and their complements; measured worst 8.7e-7, on the
-# moderate rings, and 2.8e-6 at 1 - 3e-12, where the CDF's rounding near
-# 1 dominates) the tail ladders' cells are 10**(1/8) wide; decade-wide
-# cells were up to 3.8e-3 off there
+# 3e-9, 3e-6, 3e-4 and their complements; measured worst 8.0e-8 at 3e-9,
+# on the ring D 2, z -sqrt(30)) the tail ladders' cells are 10**(1/8)
+# wide; decade-wide cells were up to 3.8e-3 off there, and a cubic of the
+# CDF in r, inverted, up to 8.7e-7 (2.8e-6 at 1 - 3e-12)
 QUANTILE_BOUND = {1e-12: 5e-5, 1e-6: 3e-7, 0.01: 2e-9, 0.5: 1e-14,
                   0.99: 1e-9, 1 - 1e-6: 5e-8, 1 - 1e-12: 5e-5,
                   3e-12: 1e-6, 3e-9: 1e-6, 3e-6: 1e-6, 3e-4: 1e-6,
@@ -577,3 +587,35 @@ def test_inverse_cdf_meets_the_quantile_corpus(dim, z):
     rel = np.abs(table.inverse_cdf(levels) - want) / want
     bound = np.array([QUANTILE_BOUND[p] for p in levels])
     assert np.all(rel <= bound), list(zip(levels, rel))
+
+
+BETWEEN_DECADES = (3e-12, 3e-9, 3e-6, 3e-4, 1 - 3e-4, 1 - 3e-6, 1 - 3e-9,
+                   1 - 3e-12)
+
+
+@pytest.mark.parametrize("dim,z", sorted({(r[0], r[1]) for r in QUANTILES}))
+def test_inverse_cdf_between_the_decades_holds_a_tenth_of_the_bound(dim, z):
+    """The levels between the tail decades fall inside ladder cells: there
+    the interpolant of the inverse, not the placing of knots, sets the
+    error, and it keeps to a tenth of QUANTILE_BOUND."""
+    rows = [(p, q) for d, zz, p, q in QUANTILES
+            if (d, zz) == (dim, z) and p in BETWEEN_DECADES]
+    table = sampling.build_radial_table(core.RadialParams(dim, -z, 0.5))
+    levels, want = (np.array(v) for v in zip(*rows))
+    rel = np.abs(table.inverse_cdf(levels) - want) / want
+    bound = np.array([QUANTILE_BOUND[p] / 10.0 for p in levels])
+    assert np.all(rel <= bound), list(zip(levels, rel))
+
+
+@pytest.mark.parametrize("z", [0.0, 1e3, 1e4])
+def test_closed_tail_quantiles_follow_the_power_law(z):
+    """At D = 1 and z >= 0 the lower ladder lies in the closed-form tail,
+    where F is proportional to r; the first knot sits near F = 3e-9, and
+    the levels below it come from r_1 u / F_1 (a line in the log-odds
+    instead, the odds' power law, is 3e-9 off)."""
+    rows = [(p, q) for d, zz, p, q in QUANTILES
+            if (d, zz) == (1, z) and p in (1e-12, 3e-12)]
+    table = sampling.build_radial_table(core.RadialParams(1, -z, 0.5))
+    assert table.cdf_values[1] > 1e-9
+    levels, want = (np.array(v) for v in zip(*rows))
+    np.testing.assert_allclose(table.inverse_cdf(levels), want, rtol=1e-12)
