@@ -1,10 +1,10 @@
 """Command line surface: fitting, sampling, density grids, entropy,
 marginals and self-validation.
 
-Exit codes: 0 success, 2 usage or validation error, 3 numerical failure,
-4 infeasible fit, 5 selfcheck failure.  JSON goes to stdout; CSV goes to
---out when given, stdout otherwise.  Floats are serialized with 17
-significant digits so files round-trip bit-faithfully.
+Exit codes: 0 success, 2 usage or validation error (a request too large
+for memory among them), 3 numerical failure, 4 infeasible fit, 5
+selfcheck failure.  JSON goes to stdout; CSV to --out when given, stdout
+otherwise.  Floats carry 17 significant digits: files round-trip exactly.
 """
 
 from __future__ import annotations
@@ -47,6 +47,9 @@ class _Command(click.Command):
             raise click.UsageError(str(e), ctx) from e
         except ConvergenceError as e:
             raise NumericalFailure(str(e)) from e
+        except MemoryError as e:
+            raise click.UsageError("the request does not fit in memory"
+                                   + (f": {e}" if str(e) else ""), ctx) from e
 
 
 def load_params_file(path: str) -> core.Params:
@@ -310,15 +313,12 @@ def _selfcheck_checks():
     worst = 0.0
     h = 1e-5
     for d, l1, l2 in ((2, 8.0, 4.0), (3, -2.0, 1.0), (5, 1.0, 0.3)):
+        def log_z(a, b):
+            return core.log_norm_const(core.RadialParams(d, a, b))
+        fd1 = (log_z(l1 + h, l2) - log_z(l1 - h, l2)) / (2 * h)
+        fd2 = (log_z(l1, l2 + h) - log_z(l1, l2 - h)) / (2 * h)
         p = core.RadialParams(d, l1, l2)
-        fd1 = (core.log_norm_const(core.RadialParams(d, l1 + h, l2))
-               - core.log_norm_const(core.RadialParams(d, l1 - h, l2))) / (
-                   2 * h)
-        fd2 = (core.log_norm_const(core.RadialParams(d, l1, l2 + h))
-               - core.log_norm_const(core.RadialParams(d, l1, l2 - h))) / (
-                   2 * h)
-        m2 = core.radial_moment(p, 2)
-        m4 = core.radial_moment(p, 4)
+        m2, m4 = core.radial_moment(p, 2), core.radial_moment(p, 4)
         worst = max(worst, abs(fd1 - m2) / m2, abs(fd2 + m4) / m4)
     checks.append(("moment_gradient_identity", worst, 1e-5))
 
@@ -352,13 +352,9 @@ def _selfcheck_checks():
         worst = max(worst, d_ks * math.sqrt(n))
     checks.append(("sampler_ks", worst, 1.358))
 
-    worst = 0.0
-    for s in (0.5, 2.0, 7.0):
-        p = core.RadialParams(3, 4.0, 1.5)
-        ps = core.RadialParams(3, 4.0 / s, 1.5 / (s * s))
-        dev = abs(core.entropy(ps)
-                  - (core.entropy(p) + 1.5 * math.log(s)))
-        worst = max(worst, dev)
+    base = core.entropy(core.RadialParams(3, 4.0, 1.5))
+    worst = max(abs(core.entropy(core.RadialParams(3, 4.0 / s, 1.5 / (s * s)))
+                    - (base + 1.5 * math.log(s))) for s in (0.5, 2.0, 7.0))
     checks.append(("entropy_scale_identity", worst, 1e-9))
 
     return checks

@@ -51,7 +51,6 @@ class FitReport:
     residual: tuple[float, float]
     converged: bool
     feasibility: Feasibility
-    trace: tuple[dict, ...]
 
 
 def gaussian_moment_ratio(dim: int) -> float:
@@ -77,8 +76,7 @@ def fit_moments(dim: int, moments: core.MomentPair) -> FitReport:
         raise InfeasibleMomentsError(
             f"moment ratio c4/c2**2 = {ratio:.6g} is at or beyond the "
             f"Gaussian boundary {bound:.6g} for dim={dim}; such moments "
-            "(Gaussian or heavier-tailed) admit no lambda2 > 0 solution",
-            ratio=ratio, boundary=bound)
+            "(Gaussian or heavier-tailed) admit no lambda2 > 0 solution")
     feasibility: Feasibility = (
         "near_boundary" if ratio >= bound * (1.0 - _NEAR_BAND)
         else "interior")
@@ -88,7 +86,6 @@ def fit_moments(dim: int, moments: core.MomentPair) -> FitReport:
     z = (-excess ** -0.5 if excess < 0.5 / dim else 0.0 if excess < 1.5 / dim
          else math.sqrt((1.0 + 2.0 / dim) / (2.0 / dim - excess)))
     lo, hi = -math.inf, math.inf
-    trace = []
     for iterations in range(1, _MAX_ITERATIONS + 1):
         _, _, t_star, (e1, e2, e3, _) = core._standard(dim, z)
         m1, var = 1.0 + e1, e2 - e1 * e1
@@ -96,8 +93,6 @@ def fit_moments(dim: int, moments: core.MomentPair) -> FitReport:
         s = t_star * m1 / c2
         l1, l2 = -z * s, 0.5 * s * s
         residual = (abs(t_star * m1 / s / c2 - 1.0), abs(math.expm1(gap)))
-        trace.append({"iteration": iterations, "lambda1": l1,
-                      "lambda2": l2, "residual": max(residual)})
         if max(residual) <= _RESIDUAL_TARGET:
             break
         lo, hi = (lo, z) if gap > 0.0 else (z, hi)
@@ -117,7 +112,7 @@ def fit_moments(dim: int, moments: core.MomentPair) -> FitReport:
     return FitReport(params=core.RadialParams(dim, l1, l2),
                      iterations=iterations, residual=residual,
                      converged=max(residual) <= _CONVERGED_CEILING,
-                     feasibility=feasibility, trace=tuple(trace))
+                     feasibility=feasibility)
 
 
 def fit_data(data: np.ndarray,

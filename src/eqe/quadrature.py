@@ -157,5 +157,5 @@ def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray]
                 and diff <= _REL_TOL * abs(value)):
             return QuadResult(value, max(diff, _EPS * abs(value)), evals)
         prev = value
-    raise ConvergenceError("quadrature evaluation budget exhausted",
-                           work=evals)
+    raise ConvergenceError(
+        f"quadrature evaluation budget exhausted after {evals} evaluations")

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -118,12 +118,17 @@ class RadialCdfTable:
         """The last knot, at or beyond which the CDF is 1."""
         return float(self.knots[-1])
 
+    @cached_property
+    def _law(self) -> tuple:
+        """_law(params), built once per table."""
+        return _law(self.params)
+
     def cdf(self, r) -> np.ndarray | float:
         """The law's own CDF at radii r (not an interpolant of it)."""
         r = np.clip(np.asarray(r, dtype=float), 0.0, self.r_max)
         if np.isnan(r).any():
             raise DomainError("radii must not be NaN")
-        r_star, law, _, grid, below, _ = _law(self.params)
+        r_star, law, _, grid, below, _ = self._law
         with np.errstate(divide="ignore"):  # ln 0 at r = 0
             d = 2.0 * np.log(r.ravel() / r_star)
         # left of the panels, the closed-form tail's e**(D d / 2), if any
@@ -234,7 +239,7 @@ def build_radial_table(params: core.Params) -> RadialCdfTable:
     there as exactly 1.
     """
     p = params.radial
-    r_star, law, origin, grid, below, above = _law(p)
+    r_star, law, origin, grid, below, above = record = _law(p)
     total = below[-1]
 
     # uniform in CDF, and in each tail a ladder 10**(1/8) apart up to where
@@ -273,8 +278,10 @@ def build_radial_table(params: core.Params) -> RadialCdfTable:
     shift = total * pdf[1:-1] * err[1:-1]
     odds = ((_mass(law, grid, below, d[1:-1]) - shift)
             / (_mass(law, grid, above, d[1:-1], upper=True) + shift))
-    return RadialCdfTable(params=p, knots=knots, log_odds=np.concatenate((
+    table = RadialCdfTable(params=p, knots=knots, log_odds=np.concatenate((
         [-np.inf], np.log(odds), [np.inf])), pdf_values=pdf)
+    table.__dict__["_law"] = record  # so cdf does not build it again
+    return table
 
 
 @lru_cache(maxsize=64)

@@ -439,12 +439,13 @@ def test_selfcheck_failure_exits_5(runner, monkeypatch):
 
 @pytest.mark.parametrize("error,code", [(DomainError, 2),
                                         (ConvergenceError, 3),
-                                        (InfeasibleMomentsError, 4)])
+                                        (InfeasibleMomentsError, 4),
+                                        (MemoryError, 2)])
 @pytest.mark.parametrize("name", sorted(cli.main.commands))
 def test_every_command_maps_every_library_error(runner, monkeypatch, name,
                                                  error, code):
-    """A library error raised anywhere inside a command exits with its
-    documented code, whichever command it is."""
+    """A library error, or a MemoryError, raised anywhere inside a command
+    exits with its documented code, whichever command it is."""
     command = cli.main.commands[name]
     args = [name]
     for param in command.params:

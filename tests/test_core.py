@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eqe import core, fit, quadrature, sampling, specfun
+from eqe import condmarg, core, fit, quadrature, sampling, specfun
 from eqe.errors import ConvergenceError, DomainError
 
 # 40-digit references written by tests/data/make_pcf_reference.py
@@ -551,6 +551,41 @@ def test_density_normalizes():
 
     res = quadrature.integrate_semi_infinite(radial_mass)
     np.testing.assert_allclose(res.value, 1.0, rtol=1e-9)
+
+
+# log p(e1) on the rings (D, alpha, R 1), and log p(x1) of their split 1+2
+# at x1 = 0 and 0.5 (both the same to 17 digits), for the doubles that
+# ring_to_radial returns: 50-digit quadrature of -log((S_(D-1) / 2)
+# int_0^inf q**(D/2-1) e**(l1 (q-1) - l2 (q**2-1)) dq) and of log(pi
+# int_(q1)^inf e**(l1 q - l2 q**2) dq / Z), frozen.  The bounds are the
+# alpha-sized cancellation of l1 q - l2 q**2 - log Z, about 4 times the
+# errors measured (README); ROADMAP open item 2 is to remove it
+THIN_RING_LOG_DENSITY = [  # (dim, alpha, log p(e1), bound)
+    (2, 1e4, 2.5415017669340183, 2e-12),
+    (2, 1e6, 4.844086859928064, 1e-10),
+    (2, 1e8, 7.14667195292211, 1e-8),
+    (3, 1e4, 1.8483670876243963, 2e-12),
+    (3, 1e6, 4.150939804368244, 1e-10),
+    (3, 1e8, 6.453524773612164, 1e-8),
+]
+THIN_RING_MARGINAL = [  # (alpha, log p(x1), bound), at D 3
+    (1e4, -0.6931346793096222, 1e-12),
+    (1e6, -0.6931470555598203, 2e-10),
+    (1e8, -0.6931471793099453, 2e-8),
+]
+
+
+def test_thin_ring_log_density_and_marginal_hold_the_readme_bounds():
+    for dim, alpha, want, bound in THIN_RING_LOG_DENSITY:
+        p = core.ring_to_radial(core.RingParams(dim, alpha, 1.0))
+        x = np.eye(dim)[0]
+        assert abs(core.log_density(p, x) - want) <= bound, (dim, alpha)
+    split = condmarg.BlockSplit(1, 2)
+    for alpha, want, bound in THIN_RING_MARGINAL:
+        p = core.ring_to_radial(core.RingParams(3, alpha, 1.0))
+        for x1 in (0.0, 0.5):
+            got = condmarg.marginal_log_density(p, split, [x1])
+            assert abs(got - want) <= bound, (alpha, x1)
 
 
 def test_log_density_batch_matches_single():

@@ -386,7 +386,7 @@ def _cell_root(table, u, upper):
     idx = np.clip(np.searchsorted(table.log_odds, sampling._log_odds(u),
                                   side="right") - 1, 0, table.knots.size - 2)
     lo, hi = table.knots[idx], table.knots[idx + 1]
-    r_star, law, _, grid, below, above = sampling._law(table.params)
+    r_star, law, _, grid, below, above = table._law
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         if upper:
@@ -474,6 +474,21 @@ def test_table_cdf_rejects_nan(r):
     table = sampling.build_radial_table(core.RadialParams(3, 4.0, 1.5))
     with pytest.raises(DomainError):
         table.cdf(r)
+
+
+def test_a_table_builds_its_law_once(monkeypatch):
+    """The builder hands its law to the table, so cdf builds none."""
+    calls, law = [], sampling._law
+
+    def counted(p):
+        calls.append(p)
+        return law(p)
+
+    monkeypatch.setattr(sampling, "_law", counted)
+    table = sampling.build_radial_table(core.RadialParams(3, 4.0, 1.5))
+    first = table.cdf(0.7)
+    assert table.cdf(np.array([0.7, 1.2]))[0] == first
+    assert len(calls) == 1
 
 
 def test_table_cdf_clamps_infinities():
