@@ -19,7 +19,6 @@ selfcheck.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal
@@ -192,30 +191,11 @@ def _as_rng(n: int, gen) -> np.random.Generator:
                       f"numpy Generator, got {type(gen)!r}")
 
 
-def _draws(rng, n: int, dim: int, radii, chol=None, mu=0.0) -> np.ndarray:
+def _draws(rng, n: int, dim: int, r, chol=None, mu=0.0) -> np.ndarray:
     """n draws mu + chol (r_i v_i / |v_i|), v_i the next n * dim normals of
-    rng (chol None: the identity) and r = radii(), scaled block by block in
-    place.  One helper thread fills the normals, a call that releases the
-    GIL, while this one computes the radii; nothing else may use rng
-    meanwhile.  rng is read in the order a fill after the radii would read
-    it, so the draws are the same bit for bit."""
-    x = np.empty((n, dim))
-    failure = []
-
-    def fill():
-        try:
-            rng.standard_normal(out=x)
-        except BaseException as exc:  # raised in the caller after the join
-            failure.append(exc)
-
-    thread = threading.Thread(target=fill)
-    thread.start()
-    try:
-        r = radii()
-    finally:
-        thread.join()
-    if failure:
-        raise failure[0]
+    rng (chol None: the identity) and r the array of n radii, scaled block
+    by block in place."""
+    x = rng.standard_normal((n, dim))
     if chol is not None:
         buf = np.empty((min(n, _BLOCK + 1), dim))
         chol_t = chol.T.copy()  # C order, as above
@@ -482,7 +462,11 @@ def log_density(params: Params, x: np.ndarray) -> float | np.ndarray:
     """log p(x) for a single point (dim,) or a batch (n, dim).
 
     Never NaN and silent for finite points: where q or q**2 overflows,
-    the density underflows and the result is -inf.
+    the density underflows and the result is -inf.  A row of a batch has
+    the same value, bit for bit, in any row block of any batch; an
+    elliptical point alone can differ from it by a few ulps (up to 4 of q
+    and 7 of log p were measured over 30 seeded laws, D 2-10), because
+    numpy hands a one-row product to BLAS's vector kernel.
     """
     p = params.radial
     log_z = log_norm_const(params)
@@ -566,7 +550,7 @@ class EllipticalGammaReference(_ShapeMatrix):
         Gamma variates for the radii, then n*dim normals."""
         rng = _as_rng(n, gen)
         q = rng.gamma(shape=self.a, scale=self.b, size=n)
-        return _draws(rng, n, self.dim, lambda: np.sqrt(q), self._chol)
+        return _draws(rng, n, self.dim, np.sqrt(q), self._chol)
 
 
 def eg_reference_from_moments(sigma: np.ndarray, moments: MomentPair

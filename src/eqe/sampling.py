@@ -29,11 +29,8 @@ within 8.0e-8 between the tail decades, 1.3e-9 at 1e-12 and 5.8e-13 at
 r, so draws are non-decreasing in u to within 16 ulps.
 
 A draw takes its radius from the first n uniforms of the stream and its
-direction from the n*D normals after them.  One helper thread fills those
-normals while the radii are inverted; the stream layout, and so every draw,
-is the same as if they were filled after, bit for bit, but the Generator
-must not be used by another thread during the call.  A seed gives the same
-draws within a version; across versions they may move within the
+direction from the n*D normals after them.  A seed gives the same draws
+within a version; across versions they may move within the
 interpolation error of a radius (see the README).
 """
 
@@ -41,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -139,6 +136,9 @@ class RadialCdfTable:
         return float(out[0]) if r.ndim == 0 else out.reshape(r.shape)
 
     def inverse_cdf(self, u) -> np.ndarray | float:
+        """The radii at levels u in [0, 1], of any shape (a scalar gives a
+        float): 0 at u = 0 and r_max at u = 1; DomainError if a level is
+        NaN or outside [0, 1]."""
         u_arr = np.atleast_1d(np.asarray(u, dtype=float))
         if not np.all((u_arr >= 0.0) & (u_arr <= 1.0)):  # NaN fails too
             raise DomainError("quantile levels must lie in [0, 1]")
@@ -294,15 +294,12 @@ def sample(params: core.Params, n: int, gen) -> np.ndarray:
 
     The stream consumption order is fixed (n uniforms for the radii, then
     n*dim normals for the directions), so results are reproducible for a
-    given seed across parameterizations of the same dimension.  The normals
-    fill on one helper thread while the radii are inverted, which leaves
-    the layout and the draws unchanged bit for bit; no other thread may use
-    ``gen`` until the call returns.
+    given seed across parameterizations of the same dimension.
     """
     rng = core._as_rng(n, gen)
     p = params.radial
     table = _cached_table(p)
-    radii = partial(table.inverse_cdf, rng.random(n))  # uniforms first
+    r = table.inverse_cdf(rng.random(n))  # uniforms first
     if isinstance(params, core.EllipticalParams):
-        return core._draws(rng, n, p.dim, radii, params._chol, params.mu)
-    return core._draws(rng, n, p.dim, radii)
+        return core._draws(rng, n, p.dim, r, params._chol, params.mu)
+    return core._draws(rng, n, p.dim, r)

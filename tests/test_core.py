@@ -708,6 +708,18 @@ def test_blocked_log_density_matches_a_reference(p, n):
     np.testing.assert_array_max_ulp(out, ref, maxulp=2)
 
 
+@pytest.mark.parametrize("start", [1, 5, B - 1, B + 1, 2 * B])
+def test_elliptical_rows_are_the_same_in_any_block(start):
+    # where a row of a batch falls in the row blocks changes no bit of its
+    # value; a point alone may differ, as it takes BLAS's one-row kernel
+    p = BLOCKED_LAWS[1]
+    x = _points(2 * B + 3)
+    out = core.log_density(p, x)
+    np.testing.assert_array_equal(out[start:], core.log_density(p, x[start:]))
+    np.testing.assert_array_equal(out[start:start + 2],
+                                  core.log_density(p, x[start:start + 2]))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("p", BLOCKED_LAWS, ids=["spherical", "elliptical"])
 def test_nonfinite_point_in_the_last_block_is_rejected(p, bad):

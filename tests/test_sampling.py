@@ -312,9 +312,7 @@ def test_sample_follows_the_documented_stream_layout_across_blocks(p, n):
     core.EllipticalGammaReference(ELLIPTICAL.sigma, 3.0, 0.5)],
                          ids=["spherical", "elliptical", "eg_reference"])
 def test_sample_leaves_the_stream_after_its_normals(p, n):
-    # the normals are filled on a helper thread: when sample returns, that
-    # fill has finished and took exactly n * dim normals after the radii's
-    # n variates
+    # a draw takes exactly n * dim normals, after the radii's n variates
     g, twin = (np.random.default_rng(63) for _ in range(2))
     if isinstance(p, core.EllipticalGammaReference):
         p.sample(n, g)
@@ -324,6 +322,26 @@ def test_sample_leaves_the_stream_after_its_normals(p, n):
         twin.random(n)
     twin.standard_normal(n * p.dim)
     np.testing.assert_array_equal(g.random(4), twin.random(4))
+
+
+class _ThreadRecordingNormals(np.random.Generator):
+    def standard_normal(self, *args, **kwargs):
+        self.threads.append(threading.get_ident())
+        return super().standard_normal(*args, **kwargs)
+
+
+@pytest.mark.parametrize("p", [
+    core.RadialParams(3, 4.0, 1.5), ELLIPTICAL,
+    core.EllipticalGammaReference(ELLIPTICAL.sigma, 3.0, 0.5)],
+                         ids=["spherical", "elliptical", "eg_reference"])
+def test_sample_fills_the_normals_on_the_calling_thread(p):
+    g = _ThreadRecordingNormals(np.random.PCG64(11))
+    g.threads = []
+    if isinstance(p, core.EllipticalGammaReference):
+        p.sample(B + 1, g)
+    else:
+        sampling.sample(p, B + 1, g)
+    assert g.threads == [threading.get_ident()]
 
 
 class _FailingNormals(np.random.Generator):
@@ -474,6 +492,20 @@ def test_table_cdf_rejects_nan(r):
     table = sampling.build_radial_table(core.RadialParams(3, 4.0, 1.5))
     with pytest.raises(DomainError):
         table.cdf(r)
+
+
+@pytest.mark.parametrize("u", [math.nan, -0.1, np.nextafter(1.0, 2.0),
+                               np.array([[0.5], [math.nan]])])
+def test_table_inverse_cdf_rejects_a_level_outside_the_unit_interval(u):
+    table = sampling.build_radial_table(core.RadialParams(3, 4.0, 1.5))
+    with pytest.raises(DomainError, match=r"in \[0, 1\]"):
+        table.inverse_cdf(u)
+
+
+def test_table_inverse_cdf_of_a_scalar_is_a_float():
+    table = sampling.build_radial_table(core.RadialParams(3, 4.0, 1.5))
+    for u in (0.25, np.float64(0.25), np.array(0.25)):
+        assert type(table.inverse_cdf(u)) is float
 
 
 def test_a_table_builds_its_law_once(monkeypatch):
